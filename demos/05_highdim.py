@@ -28,10 +28,13 @@ for r in (10.0, 100.0, 1000.0):
 print("the finite-radius bias fades as the sphere grows")
 
 print()
-print("radial bump in d=3: value at radius r (exact tail is 2*pi/r):")
-for r in (0.0, 0.5, 2.0, 10.0):
-    tail = f"  closed form {rs.bump_tail_closed_form(r, 3):.6f}" if r > 1 else ""
-    print(f"  h({r:g}) = {rs.bump_eval(r, 3):.6f}{tail}")
+print("radial bump h(r) beside its leading term area(S^{d-2})/r:")
+print(f"{'d':>2} {'r':>6} {'h(r)':>10} {'lead':>10}")
+for d in (3, 5):
+    for r in (0.5, 2.0, 10.0, 100.0):
+        lead = rs.sphere_area(d - 1) / r
+        print(f"{d:>2} {r:>6g} {rs.bump_eval(r, d):>10.6f} {lead:>10.6f}")
+print("in d=3 the two agree exactly outside the unit ball")
 
 print()
 print("normalized Hessian mass over the r-ball (bump vs paraboloid):")

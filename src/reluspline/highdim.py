@@ -12,11 +12,14 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma
 
 _UNIT_TOL = 1e-12
+# Flux samples per batch.  Each batch's temporaries (about 160 kB at d=2 with
+# 5 atoms) stay small enough to be reused from the heap; batches many times
+# larger are mapped afresh and page-fault on every batch.
+_FLUX_BATCH = 4096
 
 
 def ball_volume(m: int) -> float:
@@ -27,22 +30,6 @@ def ball_volume(m: int) -> float:
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere bounding the d-dimensional ball."""
     return float(2 * np.pi ** (d / 2) / gamma(d / 2))
-
-
-@dataclass(frozen=True)
-class SphereConstants:
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be at least 1")
-
-    @property
-    def unit_sphere_area(self) -> float:
-        return sphere_area(self.d)
-
-    def unit_ball_volume(self, m: int | None = None) -> float:
-        return ball_volume(self.d if m is None else m)
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,8 @@ def laplacian_flux_estimate(source, r: float, n_samples: int,
     point (then ``d`` is required).  For a nonnegative measure the estimate
     converges to the total mass as r grows.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError("radius must be positive and finite")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if isinstance(source, AtomMeasureDD):
@@ -158,7 +145,7 @@ def laplacian_flux_estimate(source, r: float, n_samples: int,
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        batch = min(100_000, n_samples - done)
+        batch = min(_FLUX_BATCH, n_samples - done)
         vals = scale * radial_flux(_sphere_samples(rng, batch, d))
         total += float(vals.sum())
         total_sq += float(vals @ vals)
@@ -168,45 +155,36 @@ def laplacian_flux_estimate(source, r: float, n_samples: int,
     return FluxEstimate(mean, float(np.sqrt(var / n_samples)))
 
 
-def _tent(z: np.ndarray) -> np.ndarray:
-    """[z+1]_+ - 2[z]_+ + [z-1]_+ = max(0, 1 - |z|)."""
-    return np.maximum(0.0, 1.0 - np.abs(z))
+def _bump_radial(radii, d: int) -> np.ndarray:
+    """Exact bump values h(r) at nonnegative radii, elementwise.
 
-
-def _bump_radial(radii: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Bump values at the given radii by panelled Gauss-Legendre quadrature.
-
-    Reduces the sphere integral to int_0^pi tent(r cos t) (sin t)^(d-2) dt
-    times the area of the (d-2)-sphere, splitting the range at the tent
-    kinks so every panel integrand is smooth.
+    With s = min(1, 1/r^2),
+    h(r) = area(S^{d-2}) * [ (2r/(d-1)) * ((1 - s)^((d-1)/2) - 1)
+                             + int_{-sqrt(s)}^{sqrt(s)} (1-t^2)^((d-3)/2) dt ],
+    the even integral expressed through the regularized incomplete beta
+    function.  Inside the unit ball every direction meets the tent on its
+    linear part, s = 1, and this is A_d - 2r * area(S^{d-2}) / (d-1).
     """
-    nodes, weights = leggauss(max(8, n // 4))
-    area = sphere_area(d - 1)
-    out = np.empty(radii.shape)
-    for idx, r in np.ndenumerate(radii):
-        if r == 0.0:
-            out[idx] = sphere_area(d)
-            continue
-        s = min(1.0, 1.0 / r)
-        cuts = np.arccos([s, 0.0, -s])
-        edges = np.unique(np.concatenate(([0.0], cuts, [np.pi])))
-        total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            vals = _tent(r * np.cos(t)) * np.sin(t) ** (d - 2)
-            total += 0.5 * (b - a) * float(weights @ vals)
-        out[idx] = area * total
-    return out
+    r = np.asarray(radii, dtype=float)
+    a, b = 0.5, (d - 1) / 2.0
+    s2 = 1.0 / np.maximum(r, 1.0) ** 2
+    even = beta_fn(a, b) * betainc(a, b, s2)
+    # expm1/log1p avoids the cancellation in (1 - s2)^b - 1 at large radius;
+    # at s2 = 1 it gives expm1(-inf) = -1
+    with np.errstate(divide="ignore"):
+        slope = np.expm1(b * np.log1p(-s2))
+    return sphere_area(d - 1) * (even + (2.0 * r / (d - 1)) * slope)
 
 
-def bump_eval(x, d: int | None = None, quadrature_n: int = 4096) -> float:
-    """The radial bump h(x) = integral over unit directions w of tent(<w,x>).
+def bump_eval(x, d: int | None = None) -> float:
+    """The radial bump h(x) = integral over unit directions w of tent(<w,x>),
+    tent(z) = [z+1]_+ - 2[z]_+ + [z-1]_+ = max(0, 1 - |z|).
 
-    ``x`` is a d-vector, or a radius when ``d`` is given.  h(0) equals the
-    sphere area A_d and h decays like (area of the (d-2)-sphere)/radius.
+    ``x`` is a d-vector, or a radius when ``d`` is given.  The value is
+    exact: with r = |x|, h(r) = A_d - 2r * area(S^{d-2}) / (d-1) for r <= 1,
+    and for r > 1 the incomplete-beta form of ``bump_tail_closed_form``,
+    which decays like area(S^{d-2}) / r.
     """
-    if quadrature_n < 8:
-        raise ValueError("quadrature_n must be at least 8")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         if d is None:
@@ -217,85 +195,79 @@ def bump_eval(x, d: int | None = None, quadrature_n: int = 4096) -> float:
         r = float(np.linalg.norm(x))
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    return float(_bump_radial(np.array(r), d, quadrature_n))
+    if not np.isfinite(r):
+        raise ValueError("bump argument must be finite")
+    return float(_bump_radial(r, d))
 
 
 def bump_tail_closed_form(r: float, d: int) -> float:
-    """Exact bump value for radius greater than 1.
+    """Exact bump value for radius greater than 1 (see ``_bump_radial``).
 
-    h(r) = area(S^{d-2}) * [ (2r/(d-1)) * ((1 - 1/r^2)^((d-1)/2) - 1)
-                             + int_{-1/r}^{1/r} (1-t^2)^((d-3)/2) dt ],
-    the even integral expressed through the regularized incomplete beta
-    function.  Leading behavior is area(S^{d-2}) / r.
+    Leading behavior is area(S^{d-2}) / r.
     """
-    if r <= 1:
-        raise ValueError("closed form valid for radius greater than 1")
-    s2 = 1.0 / (r * r)
-    a, b = 0.5, (d - 1) / 2.0
-    even = beta_fn(a, b) * betainc(a, b, s2)
-    slope_term = (2.0 * r / (d - 1)) * ((1.0 - s2) ** ((d - 1) / 2.0) - 1.0)
-    return float(sphere_area(d - 1) * (slope_term + even))
+    if not 1 < r < np.inf:
+        raise ValueError("closed form needs a finite radius greater than 1")
+    return float(_bump_radial(r, d))
 
 
 def _fd_hessian_norms(radial, points: np.ndarray, h: float) -> np.ndarray:
     """Frobenius norms of central-difference Hessians of a radial function.
 
     One call to ``radial`` on the stacked stencil radii evaluates every
-    sample point at once.
+    sample point at once.  Stencil order: the centre, then +-h e_i for each
+    axis i, then (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) for each pair i < j.
     """
     n, d = points.shape
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    stencil = [np.zeros(d)]
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        stencil += [e, -e]
-    for i, j in pairs:
-        e = np.zeros(d)
-        e[i] = h
-        f = np.zeros(d)
-        f[j] = h
-        stencil += [e + f, e - f, -e + f, -e - f]
-    offsets = np.array(stencil)
+    e = h * np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    offsets = np.vstack([
+        np.zeros((1, d)),
+        np.stack([e, -e], axis=1).reshape(-1, d),
+        np.stack([e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]],
+                 axis=1).reshape(-1, d)])
     radii = np.linalg.norm(points[:, None, :] + offsets[None, :, :], axis=2)
     vals = radial(radii)
-    norms = np.empty(n)
-    for s in range(n):
-        v = vals[s]
-        hess = np.empty((d, d))
-        for i in range(d):
-            hess[i, i] = (v[1 + 2 * i] - 2.0 * v[0] + v[2 + 2 * i]) / (h * h)
-        base = 1 + 2 * d
-        for p, (i, j) in enumerate(pairs):
-            q = base + 4 * p
-            hess[i, j] = hess[j, i] = (
-                v[q] - v[q + 1] - v[q + 2] + v[q + 3]) / (4.0 * h * h)
-        norms[s] = np.linalg.norm(hess)
-    return norms
+    centre = vals[:, :1]
+    diag = (vals[:, 1:1 + 2 * d:2] - 2.0 * centre
+            + vals[:, 2:2 + 2 * d:2]) / (h * h)
+    q = vals[:, 1 + 2 * d:].reshape(n, -1, 4)
+    cross = (q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3]) / (4.0 * h * h)
+    # each off-diagonal entry appears twice in the symmetric Hessian
+    return np.sqrt((diag ** 2).sum(axis=1) + 2.0 * (cross ** 2).sum(axis=1))
 
 
 def hessian_decay_estimate(d: int, r: float, n_samples: int,
                            fd_step: float = 1e-2, seed: int = 0,
-                           radial_fn=None, quadrature_n: int = 4096) -> float:
+                           radial_fn=None) -> float:
     """Monte-Carlo estimate of (1/r^(d-1)) * integral of |Hessian|_F over the r-ball.
 
     Defaults to the radial bump; ``radial_fn`` (vectorized radius -> value)
     substitutes any other radial function, e.g. rho**2/2 as a non-decaying
     control whose exact value is ball_volume(d) * r * sqrt(d).
+
+    Directions are uniform on the sphere.  Radii are stratified uniformly
+    on [0, r], one per stratum of width r/n, and each point is weighted by
+    rho^(d-1), its share of the ball's volume; the weights are normalized,
+    so a constant |Hessian| is reproduced exactly.  Sampling the ball
+    uniformly instead leaves the thin shells near the origin and the unit
+    sphere, where the bump's Hessian is largest, to rare draws.
     """
-    if r <= 2:
-        raise ValueError("radius must exceed 2")
+    if not 2 < r < np.inf:
+        raise ValueError("radius must exceed 2 and be finite")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if fd_step < 1e-3:
-        raise ValueError("fd_step below 1e-3 amplifies quadrature noise")
+    # Float cancellation in the second difference grows like eps / h^2.
+    if not 1e-3 <= fd_step < np.inf:
+        raise ValueError("fd_step must be finite and at least 1e-3; below "
+                         "that, cancellation in the second difference grows")
     if radial_fn is None:
         def radial_fn(radii):
-            return _bump_radial(radii, d, quadrature_n)
+            return _bump_radial(radii, d)
     rng = np.random.Generator(np.random.Philox(seed))
     u = _sphere_samples(rng, n_samples, d)
-    radii = r * rng.random(n_samples) ** (1.0 / d)
+    radii = r * (np.arange(n_samples) + rng.random(n_samples)) / n_samples
     points = u * radii[:, None]
     norms = _fd_hessian_norms(radial_fn, points, fd_step)
-    # (1/r^(d-1)) * V_d r^d * mean = V_d * r * mean
-    return float(ball_volume(d) * r * norms.mean())
+    # (1/r^(d-1)) * V_d r^d * weighted mean = V_d * r * weighted mean
+    return float(ball_volume(d) * r
+                 * np.average(norms, weights=radii ** (d - 1)))

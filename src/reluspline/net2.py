@@ -8,6 +8,7 @@ derivative, and deterministic full-batch gradient-descent training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,16 +77,17 @@ class TrainConfig:
     stop_grad_norm: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails every comparison
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be nonnegative")
-        if self.stop_grad_norm < 0:
-            raise ValueError("stop_grad_norm must be nonnegative")
+        if not 0 <= self.init_scale < np.inf:
+            raise ValueError("init_scale must be nonnegative and finite")
+        if not 0 <= self.stop_grad_norm < np.inf:
+            raise ValueError("stop_grad_norm must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -215,43 +217,76 @@ def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
     Deterministic given the config.  Stops at max_steps or once the gradient
     norm drops below stop_grad_norm.  Raises DivergenceError if the objective
     becomes non-finite.
+
+    The step costs a dozen numpy calls on preallocated buffers, because call
+    overhead, not arithmetic, is what a step of a small net spends.  All
+    parameters live in one vector theta = [b1 | w1 | w2 | b2 | -1]:
+    [b1; w1] is a 2 x k view, so the pre-activations are [1, x] @ [b1; w1];
+    [w2 | b2 | -1] is contiguous, so the residuals are [act, 1, y] @ it; and
+    [w1 | w2] is contiguous, so the weight cost is one dot product.  The
+    trailing -1 has zero gradient and never changes.
     """
     xs = np.array([p[0] for p in dataset.points])
     ys = np.array([p[1] for p in dataset.points])
-    w1 = np.array(net0.w1)
-    b1 = np.array(net0.b1)
-    w2 = np.array(net0.w2)
-    b2 = net0.b2
-    lam, lr = cfg.lam, cfg.learning_rate
+    n, k = xs.size, net0.k
+    lam, lr, stop = cfg.lam, cfg.learning_rate, cfg.stop_grad_norm
+    theta = np.concatenate([net0.b1, net0.w1, net0.w2, [net0.b2, -1.0]])
+    first = theta[:2 * k].reshape(2, k)
+    weights = theta[k:3 * k]
+    w2 = theta[2 * k:3 * k]
+    second = theta[2 * k:]
+    inputs = np.stack([np.ones(n), xs], axis=1)
+    feats = np.empty((n, k + 2))
+    feats[:, k] = 1.0
+    feats[:, k + 1] = ys
+    act = feats[:, :k]
+    inputs_t, second_feats_t = inputs.T, feats[:, :k + 1].T
+    # half the gradient of the loss; the last entry stays 0
+    half = np.zeros_like(theta)
+    half_first = half[:2 * k].reshape(2, k)
+    half_second = half[2 * k:-1]
+    decay = np.zeros_like(theta)
+    decay[k:3 * k] = lam
+    # gradient descent with the lam term folded in:
+    # theta - lr * (2 * half + decay * theta) = keep * theta - 2 lr * half
+    keep = 1.0 - lr * decay
+    pre = np.empty((n, k))
+    live = np.empty((n, k), dtype=bool)
+    masked = np.empty((n, k))
+    resid = np.empty(n)
+    resid_col = resid[:, None]
+    tmp = np.empty_like(theta)
     trace = np.empty((cfg.max_steps, 3))
     done = 0
-    for step in range(cfg.max_steps):
-        pre = np.outer(xs, w1) + b1
-        act = np.maximum(pre, 0.0)
-        resid = act @ w2 + b2 - ys
-        # overflow here is the divergence signal, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow is the divergence signal, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.max_steps):
+            np.matmul(inputs, first, out=pre)
+            np.maximum(pre, 0.0, out=act)
+            np.matmul(feats, second, out=resid)
             loss = resid @ resid
-            cost = 0.5 * (w2 @ w2 + w1 @ w1)
+            cost = 0.5 * (weights @ weights)
             obj = loss + lam * cost
-        if not np.isfinite(obj):
-            raise DivergenceError(
-                f"objective became non-finite at step {step} "
-                f"(loss={loss!r}, cost={cost!r}); reduce the learning rate")
-        trace[step] = (obj, loss, cost)
-        done = step + 1
-        heavy = pre > 0.0
-        back = np.where(heavy, resid[:, None] * w2, 0.0)
-        gw2 = 2.0 * (act.T @ resid) + lam * w2
-        gb2 = 2.0 * resid.sum()
-        gw1 = 2.0 * (back.T @ xs) + lam * w1
-        gb1 = 2.0 * back.sum(axis=0)
-        if cfg.stop_grad_norm > 0.0:
-            gnorm2 = gw1 @ gw1 + gb1 @ gb1 + gw2 @ gw2 + gb2 * gb2
-            if gnorm2 <= cfg.stop_grad_norm ** 2:
-                break
-        w1 -= lr * gw1
-        b1 -= lr * gb1
-        w2 -= lr * gw2
-        b2 -= lr * gb2
-    return TrainResult(TwoLayerNet(w1, b1, w2, float(b2)), trace[:done], done)
+            if not math.isfinite(obj):
+                raise DivergenceError(
+                    f"objective became non-finite at step {step} "
+                    f"(loss={loss!r}, cost={cost!r}); reduce the learning rate")
+            trace[step] = (obj, loss, cost)
+            done = step + 1
+            # d loss / d pre = 2 * resid * w2 where pre > 0; w2 scales
+            # columns, so it is applied after the reduction over samples
+            np.greater(pre, 0.0, out=live)
+            np.multiply(live, resid_col, out=masked)
+            np.matmul(inputs_t, masked, out=half_first)
+            half_first *= w2
+            np.matmul(second_feats_t, resid, out=half_second)
+            if stop > 0.0:
+                np.multiply(decay, theta, out=tmp)
+                tmp += 2.0 * half
+                if tmp @ tmp <= stop * stop:
+                    break
+            theta *= keep
+            np.multiply(half, 2.0 * lr, out=tmp)
+            theta -= tmp
+    return TrainResult(TwoLayerNet(theta[k:2 * k], theta[:k], w2,
+                                   theta[3 * k]), trace[:done], done)

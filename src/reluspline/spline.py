@@ -25,6 +25,8 @@ class Dataset:
 
     def __post_init__(self):
         pts = sorted((float(x), float(y)) for x, y in self.points)
+        if not np.isfinite(pts).all():
+            raise ValueError("dataset points must be finite")
         yscale = 1.0 + max((abs(y) for _, y in pts), default=0.0)
         merged: list[tuple[float, float]] = []
         for x, y in pts:

@@ -157,6 +157,12 @@ class TestHighdimCommand:
         vals = [float(r.split(",")[1]) for r in rows]
         assert vals[1] < vals[0]
 
+    def test_nan_radius_is_a_validation_error(self, tmp_path, capsys):
+        rc = cli.main(["highdim", "--claim", "bump-decay", "--r-sweep", "nan",
+                       "--output", str(tmp_path / "decay.csv")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "radius" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

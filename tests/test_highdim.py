@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from reluspline import highdim
-from reluspline.highdim import (AtomMeasureDD, SphereConstants, ball_volume,
-                                bump_eval, bump_tail_closed_form, eval_dd,
-                                grad_dd, hessian_decay_estimate,
+from reluspline.highdim import (AtomMeasureDD, ball_volume, bump_eval,
+                                bump_tail_closed_form, eval_dd, grad_dd,
+                                hessian_decay_estimate,
                                 laplacian_flux_estimate, sphere_area)
 
 
@@ -33,12 +33,6 @@ class TestConstants:
     def test_area_volume_relation(self):
         for d in range(2, 8):
             assert sphere_area(d) == pytest.approx(d * ball_volume(d))
-
-    def test_constants_object(self):
-        c = SphereConstants(3)
-        assert c.unit_sphere_area == pytest.approx(4 * np.pi)
-        assert c.unit_ball_volume() == pytest.approx(4 * np.pi / 3)
-        assert c.unit_ball_volume(2) == pytest.approx(np.pi)
 
 
 class TestAtomMeasure:
@@ -138,6 +132,11 @@ class TestFluxEstimate:
         with pytest.raises(ValueError):
             laplacian_flux_estimate(a, 1.0, 1, seed=0)
 
+    def test_rejects_nan_radius(self):
+        a = AtomMeasureDD((), 0.0, 2)
+        with pytest.raises(ValueError):
+            laplacian_flux_estimate(a, np.nan, 100, seed=0)
+
 
 class TestBump:
     def test_origin_value(self):
@@ -163,12 +162,6 @@ class TestBump:
             lead = sphere_area(d - 1) / r
             assert abs(bump_eval(r, d) - lead) < 2.0 * lead / (r * r) + 1e-9
 
-    def test_quadrature_converged(self):
-        for r in (0.5, 2.0, 20.0):
-            a = bump_eval(r, 3, quadrature_n=4096)
-            b = bump_eval(r, 3, quadrature_n=8192)
-            assert abs(a - b) < 1e-6
-
     def test_monte_carlo_sphere_average(self):
         # independent check: average the tent over random directions
         rng = np.random.default_rng(68)
@@ -179,9 +172,33 @@ class TestBump:
         mc = sphere_area(3) * np.maximum(0.0, 1.0 - np.abs(z)).mean()
         assert bump_eval(x) == pytest.approx(mc, rel=0.01)
 
-    def test_rejects_small_quadrature(self):
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_matches_quad_of_sphere_integral(self, d):
+        # area(S^{d-2}) * int_0^pi tent(r cos t) sin(t)^(d-2) dt, split at
+        # the kinks of the tent so every piece is smooth
+        def tent(z):
+            return max(0.0, 1.0 - abs(z))
+
+        for r in (0.0, 0.3, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 10.0, 1000.0):
+            kinks = [np.pi / 2]
+            if r > 1:
+                kinks += [np.arccos(1 / r), np.arccos(-1 / r)]
+            edges = [0.0, *sorted(kinks), np.pi]
+            total = sum(quad(lambda t: tent(r * np.cos(t))
+                             * np.sin(t) ** (d - 2), a, b,
+                             epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                        for a, b in zip(edges, edges[1:]))
+            assert abs(bump_eval(r, d) - sphere_area(d - 1) * total) < 1e-10
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_radius(self, x):
         with pytest.raises(ValueError):
-            bump_eval(1.0, 3, quadrature_n=4)
+            bump_eval(x, 3)
+
+    @pytest.mark.parametrize("x", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0)])
+    def test_rejects_non_finite_vector(self, x):
+        with pytest.raises(ValueError):
+            bump_eval(np.array(x))
 
 
 class TestHessianDecay:
@@ -210,3 +227,36 @@ class TestHessianDecay:
             hessian_decay_estimate(3, 10.0, 10, fd_step=1e-5)
         with pytest.raises(ValueError):
             hessian_decay_estimate(3, 10.0, 1)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError):
+            hessian_decay_estimate(3, np.nan, 10)
+
+    def test_rejects_nan_fd_step(self):
+        with pytest.raises(ValueError):
+            hessian_decay_estimate(3, 10.0, 10, fd_step=np.nan)
+
+    @pytest.mark.parametrize("r", [8.0, 16.0])
+    def test_bump_exact_value_d3(self, r):
+        # in d=3 the bump is 4pi - 2pi rho inside the unit ball and 2pi/rho
+        # outside, so |H|_F is 2 sqrt(2) pi / rho, then 2 sqrt(6) pi / rho^3
+        exact = (4 * np.pi / r ** 2) * np.pi * (
+            np.sqrt(2) + 2 * np.sqrt(6) * np.log(r))
+        for seed in range(20):
+            est = hessian_decay_estimate(3, r, 120, seed=seed)
+            assert est == pytest.approx(exact, rel=0.05)
+
+    @pytest.mark.parametrize("d,r", [(3, 5.0), (5, 8.0)])
+    def test_quartic_exact_value(self, d, r):
+        # f = rho^4/4 has Hessian rho^2 I + 2 x x^T, so |H|_F = rho^2 sqrt(d+8)
+        n, seed = 200, 7
+        est = hessian_decay_estimate(d, r, n, seed=seed,
+                                     radial_fn=lambda rr: rr ** 4 / 4)
+        rng = np.random.Generator(np.random.Philox(seed))
+        g = rng.standard_normal((n, d))
+        u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        points = u * (r * (np.arange(n) + rng.random(n)) / n)[:, None]
+        rho = np.linalg.norm(points, axis=1)
+        exact = ball_volume(d) * r * np.average(rho ** 2 * np.sqrt(d + 8),
+                                                weights=rho ** (d - 1))
+        assert est == pytest.approx(exact, rel=1e-3)

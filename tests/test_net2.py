@@ -203,6 +203,15 @@ class TestLowerBound:
                        - repcost.representation_cost(f).cost) < 1e-10
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["lam", "learning_rate", "init_scale",
+                                       "stop_grad_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_hyperparameter(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
+
 class TestInit:
     def test_deterministic(self):
         cfg = TrainConfig(seed=5)

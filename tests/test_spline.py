@@ -30,6 +30,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(((1.0, 2.0), (1.0, 3.0)))
 
+    @pytest.mark.parametrize("point", [(np.nan, 1.0), (1.0, np.nan),
+                                       (np.inf, 1.0), (1.0, -np.inf)])
+    def test_rejects_non_finite(self, point):
+        with pytest.raises(ValueError):
+            Dataset(((0.0, 0.0), point))
+
     def test_json_round_trip(self):
         d = Dataset(((0.0, 1.0), (2.0, -1.0)))
         assert Dataset.from_json(d.to_json()).points == d.points
