@@ -31,9 +31,10 @@ print(f"grid-search oracle value {oracle:.9f} "
 
 print()
 print("regularized fits, squared loss:")
-print(f"{'lambda':>10} {'cost':>8} {'max residual':>14}")
+print(f"{'lambda':>10} {'cost':>8} {'max residual':>14} {'duality gap':>12}")
 for lam in (1e-6, 0.03, 0.3, 3.0):
     fit = rs.regularized_fit(data, "squared", lam)
     resid = max(abs(rs.pwl_eval(fit.spline, x) - y) for x, y in data.points)
-    print(f"{lam:>10g} {fit.cost:>8.4f} {resid:>14.4f}")
-print("as the penalty grows the fit flattens toward an affine function")
+    print(f"{lam:>10g} {fit.cost:>8.4f} {resid:>14.4f} {fit.gap:>12.1e}")
+print("as the penalty grows the fit flattens toward a constant, the only")
+print("function of zero cost")

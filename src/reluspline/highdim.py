@@ -9,11 +9,10 @@ finite-difference estimator showing its normalized Hessian mass vanishes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import betainc, gamma
 
 _UNIT_TOL = 1e-12
 # Flux samples per batch.  Each batch's temporaries (about 160 kB at d=2 with
@@ -24,12 +23,12 @@ _FLUX_BATCH = 4096
 
 def ball_volume(m: int) -> float:
     """Volume of the unit ball in m dimensions."""
-    return float(np.pi ** (m / 2) / gamma(m / 2 + 1))
+    return float(np.pi ** (m / 2) / math.gamma(m / 2 + 1))
 
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere bounding the d-dimensional ball."""
-    return float(2 * np.pi ** (d / 2) / gamma(d / 2))
+    return float(2 * np.pi ** (d / 2) / math.gamma(d / 2))
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,9 @@ def _bump_radial(radii, d: int) -> np.ndarray:
     function.  Inside the unit ball every direction meets the tent on its
     linear part, s = 1, and this is A_d - 2r * area(S^{d-2}) / (d-1).
     """
+    from scipy.special import beta as beta_fn
+    from scipy.special import betainc
+
     r = np.asarray(radii, dtype=float)
     a, b = 0.5, (d - 1) / 2.0
     s2 = 1.0 / np.maximum(r, 1.0) ** 2

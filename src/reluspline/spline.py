@@ -3,12 +3,15 @@
 Among all functions interpolating a dataset, the one of least representation
 cost is the linear spline through the points, with the two unbounded end
 slopes chosen to minimize max(total slope variation, |l0 + lN|).  The
-regularized variant trades data fit against that same cost.
+regularized variant trades data fit against that same cost.  It is a convex
+program in the fitted values, solved exactly (an LP for absolute loss, a
+box-constrained dual for squared loss), and it returns its duality gap.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +72,8 @@ class InterpolationResult:
     spline: PwlFunction
     cost: float
     end_slopes: tuple[float, float]
+    # relative duality gap of a regularized fit; interpolation is exact
+    gap: float = 0.0
 
 
 def interior_slopes(d: Dataset) -> list[float]:
@@ -77,14 +82,6 @@ def interior_slopes(d: Dataset) -> list[float]:
         raise ValueError("need at least two data points")
     xs, ys = d.xs, d.ys
     return [float(v) for v in np.diff(ys) / np.diff(xs)]
-
-
-def _end_slope_value(interior) -> float:
-    """Optimal max(slope variation, |l0 + lN|) over the two end slopes."""
-    l = np.asarray(interior, dtype=float)
-    t_int = float(np.abs(np.diff(l)).sum())
-    sigma = float(l[0] + l[-1])
-    return max(t_int, 0.5 * (t_int + abs(sigma)))
 
 
 def optimal_end_slopes(interior) -> tuple[float, float, float]:
@@ -160,107 +157,108 @@ def min_norm_interpolant(d: Dataset) -> InterpolationResult:
     return InterpolationResult(spline, value, (l0, ln))
 
 
-def _solve_subgrad(fg, x0, max_iter=10_000):
-    """Subgradient descent with a Polyak step toward an adaptive target.
+def _slope_operators(xs):
+    """(n-2) x n slope-jump matrix D and row c of the fitted values yhat.
 
-    The target sits delta below the best value seen; delta halves whenever
-    progress stalls.  Returns (best point, best value, best-value history).
+    T = |D yhat|_1 is the variation of the interior secant slopes and
+    sigma = c . yhat is the first plus the last secant slope.
     """
-    x = np.array(x0, dtype=float)
-    f, g = fg(x)
-    f_best, x_best = f, x.copy()
-    delta = 0.5 * (1.0 + abs(f))
-    stall = 0
-    history = [f_best]
-    for _ in range(max_iter):
-        gn2 = float(g @ g)
-        if gn2 <= 1e-28:
-            break
-        step = (f - (f_best - delta)) / gn2
-        x = x - step * g
-        f, g = fg(x)
-        if f < f_best - 0.1 * delta:
-            stall = 0
-        else:
-            stall += 1
-        if f < f_best:
-            f_best, x_best = f, x.copy()
-        history.append(f_best)
-        if stall >= 50:
-            delta *= 0.5
-            stall = 0
-            if delta <= 1e-14 * (1.0 + abs(f_best)):
-                break
-    return x_best, f_best, np.array(history)
+    inv = 1.0 / np.diff(xs)
+    i = np.arange(inv.size)
+    secant = np.zeros((inv.size, inv.size + 1))
+    secant[i, i], secant[i, i + 1] = -inv, inv
+    return np.diff(secant, axis=0), secant[0] + secant[-1]
 
 
-def _cost_and_subgrad(xs, yhat):
-    """Optimal-end-slope cost as a function of fitted values, with a subgradient."""
-    dx = np.diff(xs)
-    l = np.diff(yhat) / dx
-    m = l.size
-    t_int = float(np.abs(np.diff(l)).sum()) if m > 1 else 0.0
-    sigma = float(l[0] + l[-1])
-    # d t_int / d l
-    gl = np.zeros(m)
-    if m > 1:
-        sj = np.sign(np.diff(l))
-        gl[1:] += sj
-        gl[:-1] -= sj
-    if t_int >= abs(sigma):
-        value = t_int
+def _fit_absolute(xs, ys, lam):
+    """HiGHS LP over (yhat, e, a, t); returns yhat and the dual objective.
+
+    Minimizes sum e + lam t with e >= |yhat - y|, a >= |D yhat|,
+    sum a <= t and sum a +- c . yhat <= 2 t, so t >= cost(yhat).
+    """
+    from scipy.optimize import linprog
+
+    jumps, c = _slope_operators(xs)
+    m, n = jumps.shape
+    eye_n, eye_m, zero = np.eye(n), np.eye(m), np.zeros
+    # rows: e bounds (2n), a bounds (2m), then the three bounds on t
+    a_ub = np.column_stack([
+        np.vstack([eye_n, -eye_n, jumps, -jumps, zero((1, n)), c, -c]),
+        np.vstack([-eye_n, -eye_n, zero((2 * m + 3, n))]),
+        np.vstack([zero((2 * n, m)), -eye_m, -eye_m, np.ones((3, m))]),
+        np.concatenate([zero(2 * n + 2 * m), [-1.0, -2.0, -2.0]]),
+    ])
+    b_ub = np.concatenate([ys, -ys, zero(2 * m + 3)])
+    cost = np.concatenate([zero(n), np.ones(n), zero(m), [lam]])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"regularized-fit LP failed: {res.message}")
+    return res.x[:n], float(b_ub @ res.ineqlin.marginals)
+
+
+def _fit_squared(xs, ys, lam):
+    """Exact squared-loss fit; returns yhat and a dual lower bound.
+
+    cost = max over theta in [0, 1] of ||M_theta yhat||_1 with
+    M_theta = [(1 - theta/2) D; (theta/2) c].  For fixed theta the fit is a
+    generalized lasso whose dual is box-constrained least squares in u, with
+    yhat = y - (lam/2) M^T u and dual value ||y||^2 - ||yhat||^2.  The optimal
+    dual value is concave in theta, with slope of the sign of |sigma| - T at
+    yhat, so theta is 0, 1 or a root of that slope.
+    """
+    from scipy.optimize import brentq, lsq_linear
+
+    jumps, c = _slope_operators(xs)
+    solved = {}
+
+    def solve(theta):
+        if theta not in solved:
+            m = np.vstack([(1.0 - 0.5 * theta) * jumps, 0.5 * theta * c])
+            # BVLS can need more than its default of one pass per variable
+            res = lsq_linear(0.5 * lam * m.T, ys, bounds=(-1.0, 1.0),
+                             method="bvls", max_iter=10 * ys.size)
+            if res.status <= 0:
+                raise RuntimeError(
+                    f"regularized-fit dual failed: {res.message}")
+            solved[theta] = ys - 0.5 * lam * (m.T @ res.x)
+        return solved[theta]
+
+    def slope(theta):
+        yhat = solve(theta)
+        return abs(c @ yhat) - np.abs(jumps @ yhat).sum()
+
+    if slope(0.0) <= 0.0:
+        theta = 0.0
+    elif slope(1.0) >= 0.0:
+        theta = 1.0
     else:
-        value = 0.5 * (t_int + abs(sigma))
-        gl *= 0.5
-        gl[0] += 0.5 * np.sign(sigma)
-        gl[-1] += 0.5 * np.sign(sigma)
-    # chain rule through l_n = (yhat_{n+1} - yhat_n) / dx_n
-    gy = np.zeros(yhat.size)
-    gy[1:] += gl / dx
-    gy[:-1] -= gl / dx
-    return value, gy
+        theta = brentq(slope, 0.0, 1.0)
+    yhat = solve(theta)
+    # ||y||^2 - ||yhat||^2, without cancellation when yhat is close to y
+    return yhat, float((ys - yhat) @ (ys + yhat))
 
 
-def regularized_fit(d: Dataset, loss: str, lam: float,
-                    full_output: bool = False):
-    """Minimize data loss plus lam times the representation cost.
+def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
+    """Minimize data loss plus lam times the representation cost, exactly.
 
     The minimizer is piecewise linear with breakpoints only at the data
-    abscissas, so the problem is convex in the fitted values; ``loss`` is
-    "squared" or "absolute".
+    abscissas, so the problem is convex in the fitted values: an LP for
+    ``loss="absolute"`` and a QP for ``loss="squared"``.  The result's
+    ``gap`` is the relative duality gap (objective - dual bound) / objective.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (0.0 < lam < math.inf):
+        raise ValueError("lam must be positive and finite")
     if loss not in ("squared", "absolute"):
         raise ValueError(f"unknown loss {loss!r}")
     if d.n == 1:
-        res = min_norm_interpolant(d)
-        return (res, np.zeros(1)) if full_output else res
+        return min_norm_interpolant(d)
     xs, ys = d.xs, d.ys
-
-    def fg(yhat):
-        r = yhat - ys
-        if loss == "squared":
-            lval, lg = float(r @ r), 2.0 * r
-        else:
-            lval, lg = float(np.abs(r).sum()), np.sign(r)
-        cval, cg = _cost_and_subgrad(xs, yhat)
-        return lval + lam * cval, lg + lam * cg
-
-    # two starts: exact interpolation and the least-squares affine fit
-    a = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    starts = [ys.copy(), a @ coef]
-    best = None
-    for y0 in starts:
-        x_best, f_best, hist = _solve_subgrad(fg, y0)
-        if best is None or f_best < best[1]:
-            best = (x_best, f_best, hist)
-    yhat = best[0]
-    if d.n == 2:
-        inner = [float((yhat[1] - yhat[0]) / (xs[1] - xs[0]))]
-    else:
-        inner = list(np.diff(yhat) / np.diff(xs))
-    l0, ln, value = optimal_end_slopes(inner)
-    res = InterpolationResult(_build_spline(xs, yhat, l0, ln), value, (l0, ln))
-    return (res, best[2]) if full_output else res
+    solver = _fit_squared if loss == "squared" else _fit_absolute
+    yhat, dual = solver(xs, ys, lam)
+    l0, ln, value = optimal_end_slopes(np.diff(yhat) / np.diff(xs))
+    r = yhat - ys
+    objective = (r @ r if loss == "squared" else np.abs(r).sum()) + lam * value
+    gap = max(objective - dual, 0.0) / objective if objective > 0 else 0.0
+    return InterpolationResult(_build_spline(xs, yhat, l0, ln), value,
+                               (l0, ln), float(gap))

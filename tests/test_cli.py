@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +183,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["train2", tent_dataset])
         assert exc.value.code == 1
+
+
+def test_import_defers_scipy_solvers():
+    # scipy.special and scipy.optimize load on first use, so a CLI command
+    # that needs neither does not pay for importing them
+    code = ("import sys, reluspline, reluspline.cli; print(sorted(m for m in "
+            "('scipy.special', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reluspline import net2, pwl, repcost
+from reluspline import net2, pwl, repcost, spline
 from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
                              balance, extract_u, net_cost, net_eval,
                              normalize_first_layer, objective_and_grad,
@@ -282,3 +282,20 @@ class TestTrain:
                           init_scale=0.01, stop_grad_norm=1e-8)
         res = train(net2.init(2, cfg), d, cfg)
         assert res.steps < 10_000
+
+
+class TestExactOptimumBound:
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    def test_trained_objective_not_below_optimum(self, lam):
+        # net_cost(net) >= cost(to_pwl(net)), so no net's objective can beat
+        # the exact function-space optimum P*, at any width or step count
+        rng = np.random.default_rng(42)
+        for seed in range(3):
+            d = random_dataset(rng, 8)
+            fit = spline.regularized_fit(d, "squared", lam)
+            r = pwl.pwl_eval(fit.spline, d.xs) - d.ys
+            p_star = float(r @ r) + lam * fit.cost
+            cfg = TrainConfig(lam=lam, max_steps=3000, seed=seed)
+            res = train(net2.init(20, cfg), d, cfg)
+            objective, _ = objective_and_grad(res.net, d, lam)
+            assert objective >= p_star - 1e-12 * p_star

@@ -101,6 +101,7 @@ class TestMinNormInterpolant:
         res = spline.min_norm_interpolant(Dataset(((0, 0), (1, 1), (2, 0))))
         assert res.cost == pytest.approx(2.0)
         assert res.end_slopes == (1.0, -1.0)
+        assert res.gap == 0.0
         xs = np.linspace(-2, 4, 61)
         assert np.allclose(pwl_eval(res.spline, xs), 1 - np.abs(xs - 1))
 
@@ -212,11 +213,103 @@ def brute_force_regularized(d, loss, lam):
     return fbest
 
 
+def fit_objective(d, loss, lam, res):
+    """Data loss of the fitted spline at the data plus lam times its cost."""
+    r = pwl_eval(res.spline, d.xs) - d.ys
+    return (float(r @ r) if loss == "squared" else float(np.abs(r).sum())) \
+        + lam * res.cost
+
+
+def free_end_slope_jumps(xs):
+    """Slope jumps as rows over z = (yhat, l0, lN): the slopes are l0, the
+    secants of yhat and lN, so their variation is |J z|_1 and the cost of
+    yhat is the least max(|J z|_1, |l0 + lN|) over the two end slopes."""
+    n = xs.size
+    slopes = np.zeros((n + 1, n + 2))
+    slopes[0, n], slopes[n, n + 1] = 1.0, 1.0
+    for i, dx in enumerate(np.diff(xs)):
+        slopes[i + 1, i], slopes[i + 1, i + 1] = -1.0 / dx, 1.0 / dx
+    return np.diff(slopes, axis=0)
+
+
+def epigraph_constraints(xs):
+    """Rows g with g @ (yhat, l0, lN, a, t) <= 0 for a >= |J z|,
+    sum a <= t and |l0 + lN| <= t."""
+    n = xs.size
+    jumps = free_end_slope_jumps(xs)
+    pad = np.zeros((n, 1))
+    rows = [np.hstack([jumps, -np.eye(n), pad]),
+            np.hstack([-jumps, -np.eye(n), pad])]
+    tail = np.zeros((3, 2 * n + 3))
+    tail[0, n + 2:2 * n + 2], tail[0, -1] = 1.0, -1.0
+    tail[1, [n, n + 1]], tail[2, [n, n + 1]] = 1.0, -1.0
+    tail[1:, -1] = -1.0
+    return np.vstack(rows + [tail])
+
+
+def absolute_lp_optimum(d, lam):
+    """min sum |yhat - y| + lam * cost by HiGHS, end slopes free."""
+    from scipy.optimize import linprog
+
+    n = d.n
+    g = epigraph_constraints(d.xs)
+    # then the residual bounds e: +-(yhat - y) <= e
+    eye = np.eye(n)
+    fit = np.zeros((2 * n, 2 * n + 3))
+    fit[:n, :n], fit[n:, :n] = eye, -eye
+    a_ub = np.block([[g, np.zeros((g.shape[0], n))],
+                     [fit, np.vstack([-eye, -eye])]])
+    b_ub = np.concatenate([np.zeros(g.shape[0]), d.ys, -d.ys])
+    c = np.zeros(3 * n + 3)
+    c[2 * n + 2], c[2 * n + 3:] = lam, 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def squared_slsqp_value(d, lam):
+    """Squared-loss objective at an SLSQP solution of the epigraph QP, with
+    the cost taken at its end slopes, so an upper bound on the optimum."""
+    from scipy.optimize import minimize
+
+    n, ys = d.n, d.ys
+    g = epigraph_constraints(d.xs)
+    jumps = free_end_slope_jumps(d.xs)
+
+    def value(z):
+        r = z[:n] - ys
+        return float(r @ r) + lam * z[-1]
+
+    def grad(z):
+        out = np.zeros_like(z)
+        out[:n], out[-1] = 2.0 * (z[:n] - ys), lam
+        return out
+
+    start = np.concatenate([ys, [0.0, 0.0]])
+    a0 = np.abs(jumps @ start)
+    z0 = np.concatenate([start, a0, [a0.sum() + 1.0]])
+    res = minimize(value, z0, jac=grad, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda z: -g @ z,
+                                 "jac": lambda z: -g}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    z = res.x[:n + 2]
+    r = z[:n] - ys
+    cost = max(np.abs(jumps @ z).sum(), abs(z[n] + z[n + 1]))
+    return float(r @ r) + lam * cost
+
+
 class TestRegularizedFit:
     def test_rejects_bad_lambda(self):
         d = Dataset(((0, 0), (1, 1)))
         with pytest.raises(ValueError):
             spline.regularized_fit(d, "squared", 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        d = Dataset(((0, 0), (1, 1), (2, 0)))
+        with pytest.raises(ValueError):
+            spline.regularized_fit(d, "squared", lam)
 
     def test_rejects_unknown_loss(self):
         d = Dataset(((0, 0), (1, 1)))
@@ -240,19 +333,67 @@ class TestRegularizedFit:
                                            (0.05, 0.5)):
             for _ in range(3):
                 d = random_dataset(rng, 2, 4)
-                res, hist = spline.regularized_fit(d, loss, lam,
-                                                   full_output=True)
+                res = spline.regularized_fit(d, loss, lam)
                 oracle = brute_force_regularized(d, loss, lam)
-                assert hist[-1] <= oracle + 1e-6
+                assert fit_objective(d, loss, lam, res) <= oracle + 1e-6
 
-    def test_objective_trace_monotone(self):
+    def test_gap_bounds_every_challenger(self):
+        # objective * (1 - gap) is a dual lower bound: no fit may beat it
         rng = np.random.default_rng(29)
-        d = random_dataset(rng, 3, 6)
-        _, hist = spline.regularized_fit(d, "squared", 0.3, full_output=True)
-        assert np.all(np.diff(hist) <= 1e-12)
+        for loss in ("squared", "absolute"):
+            d = random_dataset(rng, 3, 6)
+            res = spline.regularized_fit(d, loss, 0.3)
+            obj = fit_objective(d, loss, 0.3, res)
+            assert 0.0 <= res.gap <= 1e-9
+            bound = obj * (1.0 - res.gap)
+            fitted = pwl_eval(res.spline, d.xs)
+            for scale in (1e-6, 1e-3, 1e-1, 1.0):
+                for _ in range(50):
+                    yhat = fitted + rng.normal(0, scale, d.n)
+                    r = yhat - d.ys
+                    loss_val = float(r @ r) if loss == "squared" \
+                        else float(np.abs(r).sum())
+                    _, _, cost = spline.optimal_end_slopes(
+                        np.diff(yhat) / np.diff(d.xs))
+                    assert loss_val + 0.3 * cost >= bound - 1e-12 * obj
 
     def test_known_two_point_instance(self):
+        # yhat = (delta, 1 - delta) costs 1 - 2 delta; the optimum is
+        # delta = lam / 2 with value 2 (lam/2)^2 + lam (1 - lam)
         d = Dataset(((0, 0), (1, 1)))
-        res, hist = spline.regularized_fit(d, "squared", 0.1, full_output=True)
+        res = spline.regularized_fit(d, "squared", 0.1)
+        assert fit_objective(d, "squared", 0.1, res) == \
+            pytest.approx(0.095, abs=1e-12)
+        assert res.cost == pytest.approx(0.9, abs=1e-12)
+        assert res.gap <= 1e-12
         oracle = brute_force_regularized(d, "squared", 0.1)
-        assert hist[-1] == pytest.approx(oracle, abs=1e-6)
+        assert fit_objective(d, "squared", 0.1, res) == \
+            pytest.approx(oracle, abs=1e-6)
+
+    def test_absolute_matches_lp_oracle(self):
+        rng = np.random.default_rng(30)
+        for _ in range(30):
+            d = random_dataset(rng, 4, 11)
+            lam = float(rng.uniform(0.05, 3.0))
+            res = spline.regularized_fit(d, "absolute", lam)
+            lp = absolute_lp_optimum(d, lam)
+            assert fit_objective(d, "absolute", lam, res) == \
+                pytest.approx(lp, rel=1e-9)
+            assert res.gap <= 1e-9
+
+    def test_squared_not_above_slsqp(self):
+        rng = np.random.default_rng(31)
+        cases = [(random_dataset(rng, 2, 12), float(rng.uniform(0.01, 3.0)))
+                 for _ in range(30)]
+        # the box-constrained dual of this set needs more BVLS passes than
+        # it has variables
+        xs = (-2.482709066592157, 0.46388126990018375, 2.9968150294393325,
+              3.7030576765847556, 4.77187940808199)
+        ys = (1.4545841800551687, -2.061624491170023, -1.9179763426800989,
+              -1.432803581188371, -4.863106956270369)
+        cases.append((Dataset(tuple(zip(xs, ys))), 3.0))
+        for d, lam in cases:
+            res = spline.regularized_fit(d, "squared", lam)
+            obj = fit_objective(d, "squared", lam, res)
+            assert obj <= squared_slsqp_value(d, lam) + 1e-9 * (1.0 + obj)
+            assert res.gap <= 1e-9
