@@ -108,18 +108,18 @@ def _cmd_train2(args):
     f = net2.to_pwl(net)
     cost = net2.net_cost(net)
     rbar = repcost.representation_cost(f).cost
-    optimum = spline.min_norm_interpolant(d).cost
+    interp = spline.min_norm_interpolant(d)
+    optimum = interp.cost
     prefix = args.prefix or "train2"
     with open(f"{prefix}_net.json", "w") as fh:
         fh.write(net.to_json() + "\n")
     _write_csv(f"{prefix}_trace.csv", ["step", "objective", "loss", "cost"],
                [[i, *row] for i, row in enumerate(result.trace)])
     xs = np.linspace(d.xs.min() - 1.0, d.xs.max() + 1.0, 512)
-    sp = spline.min_norm_interpolant(d).spline
     from .pwl import pwl_eval
     _write_csv(f"{prefix}_grid.csv", ["x", "net", "spline"],
                [[float(x), float(a), float(b)] for x, a, b in
-                zip(xs, net2.net_eval(net, xs), pwl_eval(sp, xs))])
+                zip(xs, net2.net_eval(net, xs), pwl_eval(interp.spline, xs))])
     summary = {
         "steps": result.steps,
         "final_loss": float(result.trace[-1, 1]) if result.steps else None,

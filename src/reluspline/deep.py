@@ -6,12 +6,15 @@ matrices times a single coefficient alpha_i, the averaged squared-weight
 cost of the best realization of alpha is sum |alpha_i|^(2/L), and any
 coefficient vector with more than N active entries admits a perturbation
 that preserves all N predictions without increasing that penalty.
+
+Chains are evaluated batched: matrix j of every chain is stacked into one
+(k, rows, cols) array, so all k chains at N points cost one matmul per layer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,57 +22,58 @@ _SVD_TOL = 1e-10
 _UNIT_TOL = 1e-12
 
 
-def _as_matrices(mats):
-    return tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m in mats)
-
-
-def _check_chain(mats, d, m):
+def _check_chain(shapes, depth, first):
     """Shapes m x d, then m x m repeated, then 1 x m (single 1 x d when L=2)."""
-    if len(mats) == 1:
-        if mats[0].shape[0] != 1:
-            raise ValueError("single-matrix subnet must have one output row")
-        return
-    if mats[0].shape != (m, d):
+    m, d = first
+    if len(shapes) != depth:
+        raise ValueError("all subnets must have the same depth")
+    if depth == 1 and shapes[0][0] != 1:
+        raise ValueError("single-matrix subnet must have one output row")
+    if depth > 1 and shapes[0] != first:
         raise ValueError(f"first matrix must be {m}x{d}")
-    for w in mats[1:-1]:
-        if w.shape != (m, m):
-            raise ValueError(f"middle matrices must be {m}x{m}")
-    if mats[-1].shape != (1, m):
+    if any(shape != (m, m) for shape in shapes[1:-1]):
+        raise ValueError(f"middle matrices must be {m}x{m}")
+    if depth > 1 and shapes[-1] != (1, m):
         raise ValueError(f"last matrix must be 1x{m}")
+    if shapes[0] != first:
+        raise ValueError("inconsistent first-layer shape")
 
 
-@dataclass(frozen=True)
-class ParallelDeepNet:
-    """k parallel chains of L-1 bias-free matrices plus top coefficients."""
+def _stack_layers(subnets) -> tuple[np.ndarray, ...]:
+    """Matrix j of every chain as one read-only (k, rows, cols) array."""
+    chains = [tuple(np.atleast_2d(np.asarray(w, dtype=float)) for w in s)
+              for s in subnets]
+    # each distinct shape pattern once, in order of first appearance
+    for shapes in dict.fromkeys(tuple(w.shape for w in s) for s in chains):
+        _check_chain(shapes, len(chains[0]), chains[0][0].shape)
+    layers = tuple(np.stack(layer) for layer in zip(*chains))
+    for w in layers:
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite weight matrix")
+        w.setflags(write=False)
+    return layers
 
-    subnets: tuple[tuple[np.ndarray, ...], ...]
-    top: np.ndarray
 
-    def __post_init__(self):
-        subnets = tuple(_as_matrices(s) for s in self.subnets)
-        top = np.asarray(self.top, dtype=float)
-        if top.ndim != 1 or top.size != len(subnets):
-            raise ValueError("need one top coefficient per subnet")
-        if subnets:
-            depth = len(subnets[0])
-            d = subnets[0][0].shape[1]
-            m = subnets[0][0].shape[0]
-            for s in subnets:
-                if len(s) != depth:
-                    raise ValueError("all subnets must have the same depth")
-                _check_chain(s, d, m)
-                if s[0].shape != subnets[0][0].shape:
-                    raise ValueError("inconsistent first-layer shape")
-        for s in subnets:
-            for w in s:
-                if not np.all(np.isfinite(w)):
-                    raise ValueError("non-finite weight matrix")
-                w.setflags(write=False)
-        if not np.all(np.isfinite(top)):
-            raise ValueError("non-finite top coefficient")
-        top.setflags(write=False)
-        object.__setattr__(self, "subnets", subnets)
-        object.__setattr__(self, "top", top)
+def _norms(w) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, one dot product each."""
+    v = w.reshape(len(w), -1)
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _chain_values(layers, X) -> np.ndarray:
+    """Every chain's value at every row of X, (N, k): one matmul per layer."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not layers:
+        return np.zeros((X.shape[0], 0))
+    k, m, d = layers[0].shape
+    z = np.maximum(layers[0].reshape(k * m, d) @ X.T, 0.0).reshape(k, m, -1)
+    for w in layers[1:]:
+        z = np.maximum(w @ z, 0.0)
+    return z[:, 0, :].T
+
+
+class _Chains:
+    """Shape queries shared by the two net types, read off the layer stacks."""
 
     @property
     def k(self) -> int:
@@ -78,11 +82,35 @@ class ParallelDeepNet:
     @property
     def depth(self) -> int:
         """Number of weight layers L, counting the top coefficients."""
-        return len(self.subnets[0]) + 1 if self.subnets else 2
+        return len(self.layers) + 1 if self.layers else 2
 
     @property
     def input_dim(self) -> int:
-        return self.subnets[0][0].shape[1] if self.subnets else 0
+        return self.layers[0].shape[2] if self.layers else 0
+
+
+@dataclass(frozen=True)
+class ParallelDeepNet(_Chains):
+    """k parallel chains of L-1 bias-free matrices plus top coefficients.
+
+    ``subnets[i][j]`` is a read-only view of the stacked ``layers[j][i]``.
+    """
+
+    subnets: tuple[tuple[np.ndarray, ...], ...]
+    top: np.ndarray
+    layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        top = np.asarray(self.top, dtype=float)
+        if top.ndim != 1 or top.size != len(self.subnets):
+            raise ValueError("need one top coefficient per subnet")
+        layers = _stack_layers(self.subnets)
+        if not np.all(np.isfinite(top)):
+            raise ValueError("non-finite top coefficient")
+        top.setflags(write=False)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "subnets", tuple(zip(*layers)))
+        object.__setattr__(self, "top", top)
 
     def to_dict(self) -> dict:
         return {"subnets": [[w.tolist() for w in s] for s in self.subnets],
@@ -101,47 +129,37 @@ class ParallelDeepNet:
 
 
 @dataclass(frozen=True)
-class SphereFactoredNet:
+class SphereFactoredNet(_Chains):
     """Parallel net with every matrix on the Frobenius unit sphere."""
 
     subnets: tuple[tuple[np.ndarray, ...], ...]
     alpha: np.ndarray
+    layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         base = ParallelDeepNet(self.subnets, self.alpha)
-        for s in base.subnets:
-            for w in s:
-                if abs(np.linalg.norm(w) - 1.0) > _UNIT_TOL:
-                    raise ValueError("subnet matrices must have unit Frobenius norm")
+        for w in base.layers:
+            if np.any(abs(_norms(w) - 1.0) > _UNIT_TOL):
+                raise ValueError("subnet matrices must have unit Frobenius norm")
+        object.__setattr__(self, "layers", base.layers)
         object.__setattr__(self, "subnets", base.subnets)
         object.__setattr__(self, "alpha", base.top)
 
-    @property
-    def depth(self) -> int:
-        return len(self.subnets[0]) + 1 if self.subnets else 2
-
-
-def _chain_eval(mats, x) -> float:
-    z = np.asarray(x, dtype=float)
-    for w in mats:
-        z = np.maximum(w @ z, 0.0)
-    return float(z[0])
+    top = property(lambda self: self.alpha, doc="Alias of alpha.")
 
 
 def parallel_eval(net, x) -> float:
     """Sum over subnets of the top coefficient times the ReLU chain value."""
-    top = net.top if isinstance(net, ParallelDeepNet) else net.alpha
     x = np.asarray(x, dtype=float)
-    if net.subnets and x.shape != (net.subnets[0][0].shape[1],):
+    if net.layers and x.shape != (net.input_dim,):
         raise ValueError("input dimension mismatch")
-    return float(sum(t * _chain_eval(s, x) for t, s in zip(top, net.subnets)))
+    return float(net.top @ _chain_values(net.layers, x)[0])
 
 
 def cost_CL(net: ParallelDeepNet) -> float:
     """Squared weight norm averaged over the L layers."""
-    total = float(net.top @ net.top)
-    total += sum(float(np.sum(w * w)) for s in net.subnets for w in s)
-    return total / net.depth
+    return (float(net.top @ net.top)
+            + sum(float(np.sum(w * w)) for w in net.layers)) / net.depth
 
 
 def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
@@ -150,21 +168,16 @@ def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
     Homogeneity of the ReLU chain keeps the function unchanged; a subnet
     containing a zero matrix computes zero and gets alpha = 0.
     """
-    subnets, alpha = [], []
-    for t, s in zip(net.top, net.subnets):
-        norms = [np.linalg.norm(w) for w in s]
-        if min(norms) == 0.0:
-            unit = []
-            for w in s:
-                e = np.zeros_like(w)
-                e.flat[0] = 1.0
-                unit.append(e)
-            subnets.append(tuple(unit))
-            alpha.append(0.0)
-        else:
-            subnets.append(tuple(w / n for w, n in zip(s, norms)))
-            alpha.append(t * float(np.prod(norms)))
-    return SphereFactoredNet(tuple(subnets), alpha)
+    norms = np.array([_norms(w) for w in net.layers])
+    dead = np.any(norms == 0.0, axis=0)
+    units = []
+    for w, n in zip(net.layers, norms):
+        unit = w / np.where(dead, 1.0, n)[:, None, None]
+        unit[dead] = 0.0
+        unit[dead, 0, 0] = 1.0
+        units.append(unit)
+    alpha = np.where(dead, 0.0, net.top * np.prod(norms, axis=0))
+    return SphereFactoredNet(tuple(zip(*units)), alpha)
 
 
 def from_alpha(s: SphereFactoredNet) -> ParallelDeepNet:
@@ -173,13 +186,9 @@ def from_alpha(s: SphereFactoredNet) -> ParallelDeepNet:
     The resulting net computes the same function and its cost_CL equals
     bridge_penalty(alpha, L) exactly.
     """
-    L = s.depth
-    subnets, top = [], []
-    for a, mats in zip(s.alpha, s.subnets):
-        r = abs(a) ** (1.0 / L)
-        subnets.append(tuple(r * w for w in mats))
-        top.append(np.sign(a) * r)
-    return ParallelDeepNet(tuple(subnets), top)
+    r = np.abs(s.alpha) ** (1.0 / s.depth)
+    layers = [r[:, None, None] * w for w in s.layers]
+    return ParallelDeepNet(tuple(zip(*layers)), np.sign(s.alpha) * r)
 
 
 def bridge_penalty(alpha, L: int) -> float:
@@ -207,11 +216,9 @@ class AlignmentReport:
 
 def check_alignment(net: ParallelDeepNet) -> AlignmentReport:
     """Max - min of the per-layer squared norms within each subnet."""
-    devs = []
-    for t, s in zip(net.top, net.subnets):
-        sq = [float(np.sum(w * w)) for w in s] + [float(t * t)]
-        devs.append(max(sq) - min(sq))
-    return AlignmentReport(tuple(devs))
+    sq = np.array([np.sum(w * w, axis=(1, 2)) for w in net.layers]
+                  + [net.top * net.top])
+    return AlignmentReport(tuple((sq.max(axis=0) - sq.min(axis=0)).tolist()))
 
 
 def _null_vector(m: np.ndarray):
@@ -222,15 +229,8 @@ def _null_vector(m: np.ndarray):
     if rank >= m.shape[1]:
         return None
     beta = vt[-1]
-    nz = np.flatnonzero(beta)
-    if nz.size and beta[nz[0]] < 0:
-        beta = -beta
-    return beta
-
-
-def _design_matrix(s: SphereFactoredNet, X, active) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([[_chain_eval(s.subnets[i], x) for i in active] for x in X])
+    # sign by the largest entry: the first nonzero one may be rounding noise
+    return -beta if beta[np.argmax(np.abs(beta))] < 0 else beta
 
 
 def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
@@ -242,14 +242,14 @@ def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
     """
     if s.depth != 2:
         raise ValueError("support sparsification implemented for depth 2 only")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
+    phi = _chain_values(s.layers, X)
+    n = phi.shape[0]
     alpha = np.array(s.alpha)
     while True:
         active = np.flatnonzero(alpha)
         if active.size <= n:
             break
-        beta = _null_vector(_design_matrix(s, X, active))
+        beta = _null_vector(phi[:, active])
         if beta is None:
             break
         if float(np.sign(alpha[active]) @ beta) > 0:
@@ -275,13 +275,13 @@ def improving_direction(s: SphereFactoredNet, X):
     """
     if s.depth < 3:
         raise ValueError("use sparsify_support for depth 2")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
+    phi = _chain_values(s.layers, X)
+    n = phi.shape[0]
     active = np.flatnonzero(s.alpha)
     if active.size <= n:
         return None
     sub = active[:n + 1]
-    beta_sub = _null_vector(_design_matrix(s, X, sub))
+    beta_sub = _null_vector(phi[:, sub])
     if beta_sub is None:
         return None
     nz = beta_sub != 0.0

@@ -21,6 +21,22 @@ def random_net(rng, L, m, k, d):
     return ParallelDeepNet(tuple(subnets), rng.standard_normal(k))
 
 
+def reference_chains(net, X):
+    """Per-chain ReLU values at every row of X, one chain at a time."""
+    out = np.zeros((len(X), len(net.subnets)))
+    for p, x in enumerate(np.atleast_2d(X)):
+        for i, mats in enumerate(net.subnets):
+            z = np.asarray(x, dtype=float)
+            for w in mats:
+                z = np.maximum(w @ z, 0.0)
+            out[p, i] = z[0]
+    return out
+
+
+def reference_eval(net, X):
+    return reference_chains(net, X) @ np.asarray(net.top)
+
+
 def random_sphere_net(rng, k, d):
     subnets = []
     for _ in range(k):
@@ -81,6 +97,78 @@ class TestEval:
         net = random_net(rng, 3, 2, 1, 3)
         with pytest.raises(ValueError):
             parallel_eval(net, np.zeros(2))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_matches_per_chain_loop(self, L):
+        rng = np.random.default_rng(60 + L)
+        net = random_net(rng, L, 5, 40, 3)
+        X = rng.standard_normal((25, 3))
+        want = reference_chains(net, X)
+        got = deep._chain_values(net.layers, X)
+        assert got.shape == (25, 40)
+        assert np.allclose(got, want, rtol=1e-12,
+                           atol=1e-12 * np.abs(want).max())
+        ref = reference_eval(net, X)
+        values = np.array([parallel_eval(net, x) for x in X])
+        assert np.allclose(values, ref, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())
+        s = align_to_sphere(net)
+        assert s.layers[0].shape == (40,) + net.layers[0].shape[1:]
+        sphere = np.array([parallel_eval(s, x) for x in X])
+        assert np.allclose(sphere, ref, rtol=1e-10,
+                           atol=1e-10 * np.abs(ref).max())
+
+    def test_dead_chains_give_zero_columns(self):
+        rng = np.random.default_rng(64)
+        net = random_net(rng, 3, 4, 6, 2)
+        subnets = list(net.subnets)
+        # a negative first layer on the positive quadrant, and a zero matrix
+        subnets[1] = (-np.abs(subnets[1][0]),) + subnets[1][1:]
+        subnets[4] = (subnets[4][0], np.zeros((1, 4)))
+        dead = ParallelDeepNet(tuple(subnets), net.top)
+        X = np.abs(rng.standard_normal((10, 2)))
+        got = deep._chain_values(dead.layers, X)
+        assert np.all(got[:, 1] == 0.0) and np.all(got[:, 4] == 0.0)
+        assert np.allclose(got, reference_chains(dead, X), rtol=1e-12,
+                           atol=1e-15)
+
+    def test_empty_net(self):
+        net = ParallelDeepNet((), [])
+        assert net.k == 0 and net.layers == ()
+        assert parallel_eval(net, np.zeros(3)) == 0.0
+        assert deep._chain_values(net.layers, np.zeros((4, 3))).shape == (4, 0)
+        assert parallel_eval(align_to_sphere(net), [1.0]) == 0.0
+
+    def test_one_and_two_dimensional_inputs(self):
+        rng = np.random.default_rng(65)
+        net = random_net(rng, 3, 3, 7, 2)
+        x = rng.standard_normal(2)
+        one = deep._chain_values(net.layers, x)
+        assert one.shape == (1, 7)
+        assert np.array_equal(one, deep._chain_values(net.layers, x[None, :]))
+
+    def test_stacks_and_views_are_read_only(self):
+        rng = np.random.default_rng(66)
+        raw = random_net(rng, 4, 3, 5, 2).to_dict()["subnets"]
+        net = ParallelDeepNet(tuple(tuple(map(np.array, s)) for s in raw),
+                              rng.standard_normal(5))
+        for i, mats in enumerate(raw):
+            for j, w in enumerate(mats):
+                assert np.array_equal(net.layers[j][i], w)
+        for s in (net, align_to_sphere(net)):
+            for j, layer in enumerate(s.layers):
+                assert not layer.flags.writeable
+                for i in range(5):
+                    view = s.subnets[i][j]
+                    assert not view.flags.writeable
+                    assert np.shares_memory(view, layer)
+                    assert np.array_equal(view, layer[i])
+            with pytest.raises(ValueError):
+                s.layers[0][0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                s.subnets[0][0][0, 0] = 1.0
 
 
 class TestCost:
@@ -213,6 +301,19 @@ class TestSparsify:
                 assert parallel_eval(out, x) == pytest.approx(
                     parallel_eval(s, x), abs=1e-10)
 
+    def test_benchmark_scale(self):
+        # (N, k) = (30, 120) at d=3: about 90 steps of the walk
+        rng = np.random.default_rng(67)
+        for _ in range(3):
+            s = random_sphere_net(rng, 120, 3)
+            X = rng.standard_normal((30, 3))
+            out = sparsify_support(s, X)
+            assert np.count_nonzero(out.alpha) <= 30
+            assert np.abs(out.alpha).sum() <= np.abs(s.alpha).sum() + 1e-10
+            want = reference_eval(s, X)
+            assert np.allclose(reference_eval(out, X), want, rtol=0.0,
+                               atol=1e-10)
+
     def test_rejects_deep(self):
         rng = np.random.default_rng(54)
         net = align_to_sphere(random_net(rng, 3, 2, 3, 2))
@@ -262,6 +363,27 @@ class TestImprovingDirection:
                     assert parallel_eval(pert, x) == pytest.approx(v0,
                                                                    abs=1e-9)
         assert found >= 1
+
+    def test_certificate_at_scale(self):
+        rng = np.random.default_rng(68)
+        n, L = 20, 3
+        for k in (60, 90):
+            s = self._sphere_deep(rng, L, k, 3, m=4)
+            X = rng.standard_normal((n, 3))
+            beta, rho = improving_direction(s, X)
+            alpha = np.asarray(s.alpha)
+            base = bridge_penalty(alpha, L)
+            up = bridge_penalty(alpha + rho * beta, L)
+            down = bridge_penalty(alpha - rho * beta, L)
+            assert min(up, down) < base - 1e-12
+            nz = beta != 0.0
+            assert np.count_nonzero(nz) <= n + 1
+            for sgn in (1.0, -1.0):
+                moved = alpha[nz] + sgn * rho * beta[nz]
+                assert np.all(np.sign(moved) == np.sign(alpha[nz]))
+                pert = SphereFactoredNet(s.subnets, alpha + sgn * rho * beta)
+                assert np.allclose(reference_eval(pert, X),
+                                   reference_eval(s, X), rtol=0.0, atol=1e-9)
 
     def test_rejects_depth2(self):
         rng = np.random.default_rng(57)

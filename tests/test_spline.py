@@ -357,6 +357,35 @@ class TestRegularizedFit:
                         np.diff(yhat) / np.diff(d.xs))
                     assert loss_val + 0.3 * cost >= bound - 1e-12 * obj
 
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_constant_data_has_no_gap(self, loss):
+        # the optimum is the constant itself, with objective 0: rounding in
+        # the fitted values must not read as a duality gap
+        rng = np.random.default_rng(32)
+        sets = [Dataset(((0, 1), (1, 1), (3, 1)))]
+        for c, n in ((-5.0, 4), (1e3, 7), (0.1, 5)):
+            xs = np.sort(rng.uniform(-3, 3, n))
+            sets.append(Dataset(tuple((x, c) for x in xs)))
+        for d, lam in itertools.product(sets, (1e-3, 0.1, 10.0, 1e6)):
+            res = spline.regularized_fit(d, loss, lam)
+            assert res.gap <= 1e-9
+            assert np.allclose(pwl_eval(res.spline, d.xs), d.ys,
+                               rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_gap_invariant_under_shifting_y(self, loss):
+        # the problem is invariant under y -> y + c; rounding in the fitted
+        # values must not make the certificate depend on c
+        base = ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5))
+        for lam in (1e-6, 1e-3, 0.3):
+            ref = spline.regularized_fit(Dataset(base), loss, lam)
+            for c in (100.0, -1e4):
+                d = Dataset(tuple((x, y + c) for x, y in base))
+                res = spline.regularized_fit(d, loss, lam)
+                assert res.gap <= 1e-9
+                assert res.cost == pytest.approx(ref.cost, rel=1e-9,
+                                                 abs=1e-12)
+
     def test_known_two_point_instance(self):
         # yhat = (delta, 1 - delta) costs 1 - 2 delta; the optimum is
         # delta = lam / 2 with value 2 (lam/2)^2 + lam (1 - lam)
