@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_SVD_TOL = 1e-10
 _UNIT_TOL = 1e-12
 
 
@@ -221,14 +220,17 @@ def check_alignment(net: ParallelDeepNet) -> AlignmentReport:
     return AlignmentReport(tuple((sq.max(axis=0) - sq.min(axis=0)).tolist()))
 
 
-def _null_vector(m: np.ndarray):
-    """Deterministic unit vector in the null space of m, or None."""
-    _, sv, vt = np.linalg.svd(m, full_matrices=True)
-    tol = _SVD_TOL * (sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > tol))
-    if rank >= m.shape[1]:
-        return None
-    beta = vt[-1]
+def _null_vector(m: np.ndarray) -> np.ndarray:
+    """Deterministic unit vector in the null space of a wide block m.
+
+    A zero column (a chain dead on every input) gives the unit vector on the
+    first such column, which rounding cannot move.
+    """
+    dead = np.flatnonzero(~m.any(axis=0))
+    if dead.size:
+        return np.eye(m.shape[1])[dead[0]]
+    # the last column of a complete QR of m.T is orthogonal to every row of m
+    beta = np.linalg.qr(m.T, mode="complete")[0][:, -1]
     # sign by the largest entry: the first nonzero one may be rounding noise
     return -beta if beta[np.argmax(np.abs(beta))] < 0 else beta
 
@@ -237,8 +239,9 @@ def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
     """Reduce the active coefficients to at most N without moving predictions.
 
     ``X`` holds the N inputs as rows.  Requires depth 2, where the penalty
-    is the l1 norm: null-space moves of the prediction map are walked to the
-    nearest zero crossing in whichever direction does not increase the norm.
+    is the l1 norm.  Each step walks a null vector of the prediction map on
+    the first N+1 active chains to its nearest zero crossing, in whichever
+    direction does not increase the norm.
     """
     if s.depth != 2:
         raise ValueError("support sparsification implemented for depth 2 only")
@@ -249,17 +252,17 @@ def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
         active = np.flatnonzero(alpha)
         if active.size <= n:
             break
-        beta = _null_vector(phi[:, active])
-        if beta is None:
-            break
-        if float(np.sign(alpha[active]) @ beta) > 0:
+        sub = active[:n + 1]
+        a = alpha[sub]
+        beta = _null_vector(phi[:, sub])
+        if float(np.sign(a) @ beta) > 0:
             beta = -beta
         crossing = np.full(beta.shape, np.inf)
-        opposing = np.sign(beta) == -np.sign(alpha[active])
-        crossing[opposing] = -alpha[active][opposing] / beta[opposing]
+        opposing = np.sign(beta) == -np.sign(a)
+        crossing[opposing] = -a[opposing] / beta[opposing]
         t = crossing.min()
-        alpha[active] = alpha[active] + t * beta
-        alpha[active[crossing <= t]] = 0.0
+        alpha[sub] = a + t * beta
+        alpha[sub[crossing <= t]] = 0.0
     return SphereFactoredNet(s.subnets, alpha)
 
 
@@ -282,8 +285,6 @@ def improving_direction(s: SphereFactoredNet, X):
         return None
     sub = active[:n + 1]
     beta_sub = _null_vector(phi[:, sub])
-    if beta_sub is None:
-        return None
     nz = beta_sub != 0.0
     rho = 0.5 * float(np.min(np.abs(s.alpha[sub][nz]) / np.abs(beta_sub[nz])))
     beta = np.zeros(len(s.alpha))

@@ -171,7 +171,7 @@ def to_pwl(net: TwoLayerNet) -> PwlFunction:
     jumps = net.w2[active] * np.abs(net.w1[active])
     anchor = (0.0, net_eval(net, 0.0))
     left_slope = float(np.sum(net.w2[net.w1 < 0.0] * net.w1[net.w1 < 0.0]))
-    return pwl.from_jumps(left_slope, zip(locs, jumps), anchor)
+    return pwl.from_jumps(left_slope, np.column_stack((locs, jumps)), anchor)
 
 
 def extract_u(net: TwoLayerNet) -> AtomList1D:

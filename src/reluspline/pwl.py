@@ -9,7 +9,7 @@ construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,33 +26,36 @@ class PwlFunction:
     ``slopes[j]`` is the slope on the j-th segment: ``slopes[0]`` on
     ``(-inf, breakpoints[0])`` and ``slopes[-1]`` on ``(breakpoints[-1], inf)``.
     ``anchor = (x_ref, y_ref)`` pins the function value at one abscissa.
+    ``arrays`` holds the breakpoints and slopes as two read-only arrays.
     """
 
     breakpoints: tuple[float, ...]
     slopes: tuple[float, ...]
     anchor: tuple[float, float]
+    arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        sl = tuple(float(s) for s in self.slopes)
+        bp = np.array(self.breakpoints, dtype=float)
+        sl = np.array(self.slopes, dtype=float)
         anchor = (float(self.anchor[0]), float(self.anchor[1]))
-        if len(sl) != len(bp) + 1:
+        if bp.ndim != 1 or sl.ndim != 1:
+            raise ValueError("breakpoints and slopes must be flat sequences")
+        if sl.size != bp.size + 1:
             raise ValueError("need exactly one more slope than breakpoints")
-        if any(b2 < b1 for b1, b2 in zip(bp, bp[1:])):
+        if np.any(bp[1:] < bp[:-1]):
             raise ValueError("breakpoints must be sorted")
-        if not all(np.isfinite(bp + sl + anchor)):
+        if not np.isfinite(np.concatenate((bp, sl, anchor))).all():
             raise ValueError("non-finite breakpoint, slope or anchor")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "slopes", sl)
+        bp.flags.writeable = sl.flags.writeable = False
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
+        object.__setattr__(self, "slopes", tuple(sl.tolist()))
         object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "arrays", (bp, sl))
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "slopes": list(self.slopes),
-            "anchor": list(self.anchor),
-        }
+        return {"breakpoints": list(self.breakpoints),
+                "slopes": list(self.slopes), "anchor": list(self.anchor)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PwlFunction":
@@ -74,13 +77,12 @@ class AtomList1D:
     atoms: tuple[tuple[float, float], ...]  # (location, mass), masses nonzero
 
     def __post_init__(self):
-        atoms = tuple((float(x), float(m)) for x, m in self.atoms)
-        locs = [x for x, _ in atoms]
-        if any(b <= a for a, b in zip(locs, locs[1:])):
+        a = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 2)
+        if np.any(a[1:, 0] <= a[:-1, 0]):
             raise ValueError("atom locations must be strictly increasing")
-        if any(m == 0.0 for _, m in atoms):
+        if np.any(a[:, 1] == 0.0):
             raise ValueError("atom masses must be nonzero")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple(map(tuple, a.tolist())))
 
     @property
     def locations(self) -> np.ndarray:
@@ -103,39 +105,39 @@ class AtomList1D:
 
 def _raw_values(f: PwlFunction, x: np.ndarray) -> np.ndarray:
     """Antiderivative of the slope profile, zero at the first breakpoint."""
-    bp = np.asarray(f.breakpoints)
-    sl = np.asarray(f.slopes)
+    bp, sl = f.arrays
     if bp.size == 0:
         return sl[0] * x
-    # cumulative value at each breakpoint, relative to bp[0]
+    # value at each breakpoint relative to bp[0], which also anchors seg 0
     cum = np.concatenate(([0.0], np.cumsum(sl[1:-1] * np.diff(bp))))
     seg = np.searchsorted(bp, x, side="right")
     left = np.clip(seg - 1, 0, bp.size - 1)
-    base = np.where(seg == 0, 0.0, cum[left])
-    ref = np.where(seg == 0, bp[0], bp[left])
-    return base + sl[seg] * (x - ref)
+    return cum[left] + sl[seg] * (x - bp[left])
 
 
 def pwl_eval(f: PwlFunction, x):
     """Evaluate f at a scalar or array of points."""
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    xr, yr = f.anchor
-    vals = _raw_values(f, xs) - _raw_values(f, np.array([xr]))[0] + yr
-    return float(vals[0]) if scalar else vals
+    # the anchor's raw value comes from the same pass, as the last entry
+    raw = _raw_values(f, np.append(xs, f.anchor[0]))
+    vals = raw[:-1] - raw[-1] + f.anchor[1]
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+
+
+def _jumps(f: PwlFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Locations and sizes of the nonzero slope jumps, as arrays."""
+    jumps = np.diff(f.arrays[1])
+    return f.arrays[0][jumps != 0.0], jumps[jumps != 0.0]
 
 
 def second_derivative_measure(f: PwlFunction) -> AtomList1D:
     """Distributional second derivative: one atom per slope jump."""
-    jumps = np.diff(f.slopes)
-    atoms = tuple((b, float(j)) for b, j in zip(f.breakpoints, jumps) if j != 0.0)
-    return AtomList1D(atoms)
+    return AtomList1D(np.column_stack(_jumps(f)))
 
 
 def tv_fprime(f: PwlFunction) -> float:
     """Total variation of the derivative: sum of absolute slope jumps."""
-    return float(np.abs(np.diff(f.slopes)).sum())
+    return float(np.abs(np.diff(f.arrays[1])).sum())
 
 
 def end_slope_sum(f: PwlFunction) -> float:
@@ -149,63 +151,67 @@ def add_constant(f: PwlFunction, c: float) -> PwlFunction:
 
 def scale(f: PwlFunction, c: float) -> PwlFunction:
     """Scale function values by c."""
-    return PwlFunction(f.breakpoints, tuple(c * s for s in f.slopes),
+    return PwlFunction(f.breakpoints, c * f.arrays[1],
                        (f.anchor[0], c * f.anchor[1]))
 
 
 def translate(f: PwlFunction, dx: float) -> PwlFunction:
     """Shift the graph right by dx."""
-    return PwlFunction(tuple(b + dx for b in f.breakpoints), f.slopes,
+    return PwlFunction(f.arrays[0] + dx, f.slopes,
                        (f.anchor[0] + dx, f.anchor[1]))
 
 
 def reflect(f: PwlFunction) -> PwlFunction:
     """Mirror the graph about the y axis: g(x) = f(-x)."""
-    return PwlFunction(tuple(-b for b in reversed(f.breakpoints)),
-                       tuple(-s for s in reversed(f.slopes)),
-                       (-f.anchor[0], f.anchor[1]))
+    bp, sl = f.arrays
+    return PwlFunction(-bp[::-1], -sl[::-1], (-f.anchor[0], f.anchor[1]))
+
+
+def _merge_runs(points, jumps, joins):
+    """Merge each point that ``joins`` the one before; jumps add in order."""
+    new = np.concatenate(([True], ~joins))[:points.size]
+    sums = np.zeros(np.count_nonzero(new))
+    np.add.at(sums, np.cumsum(new) - 1, jumps)
+    return points[new], sums
+
+
+def _sum_jumps(left_slope, locs, jumps, anchor) -> PwlFunction:
+    """The function with these jumps, summed in input order at exactly
+    equal locations (the sort is stable); no jump is dropped."""
+    order = np.argsort(locs, kind="stable")
+    locs = locs[order]
+    locs, sums = _merge_runs(locs, jumps[order], locs[1:] == locs[:-1])
+    slopes = np.cumsum(np.concatenate(([float(left_slope)], sums)))
+    return PwlFunction(locs, slopes, anchor)
 
 
 def from_jumps(left_slope: float, atoms, anchor) -> PwlFunction:
-    """Build a PwlFunction from its leftmost slope and slope-jump atoms.
-
-    ``atoms`` is an iterable of (location, jump) pairs, in any order;
-    coincident locations have their jumps summed.
-    """
-    merged: dict[float, float] = {}
-    for b, j in atoms:
-        merged[b] = merged.get(b, 0.0) + j
-    locs = sorted(merged)
-    slopes = [float(left_slope)]
-    for b in locs:
-        slopes.append(slopes[-1] + merged[b])
-    return canonicalize(PwlFunction(tuple(locs), tuple(slopes), anchor))
+    """Build a PwlFunction from its leftmost slope and slope-jump atoms:
+    (location, jump) pairs in any order, or an (n, 2) array.  Coincident
+    locations have their jumps summed."""
+    a = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms),
+                   dtype=float)
+    a = a.reshape(len(a), 2)
+    return canonicalize(_sum_jumps(left_slope, a[:, 0], a[:, 1], anchor))
 
 
 def canonicalize(f: PwlFunction) -> PwlFunction:
     """Merge near-coincident breakpoints and drop negligible slope jumps.
 
-    Evaluation is preserved up to the dropped-jump tolerance; applying
-    canonicalize twice gives the same object as applying it once.
+    Breakpoint b joins the one before it when their gap is at most
+    BREAKPOINT_MERGE_TOL * (1 + |b|): single linkage, so a chain of small
+    gaps merges into its first point however long the chain.  Evaluation is
+    preserved up to the moved and dropped jumps; applying canonicalize
+    twice gives the same object as applying it once.
     """
-    bp = list(f.breakpoints)
-    jumps = list(np.diff(f.slopes))
-    # cluster breakpoints that coincide up to relative tolerance
-    merged_bp: list[float] = []
-    merged_j: list[float] = []
-    for b, j in zip(bp, jumps):
-        if merged_bp and b - merged_bp[-1] <= BREAKPOINT_MERGE_TOL * (1.0 + abs(b)):
-            merged_j[-1] += j
-        else:
-            merged_bp.append(b)
-            merged_j.append(j)
-    tv = float(np.abs(merged_j).sum()) if merged_j else 0.0
-    cut = SLOPE_JUMP_TOL * (1.0 + tv)
-    kept = [(b, j) for b, j in zip(merged_bp, merged_j) if abs(j) >= cut]
-    slopes = [f.slopes[0]]
-    for _, j in kept:
-        slopes.append(slopes[-1] + j)
-    return PwlFunction(tuple(b for b, _ in kept), tuple(slopes), f.anchor)
+    bp, sl = f.arrays
+    joins = np.diff(bp) <= BREAKPOINT_MERGE_TOL * (1.0 + np.abs(bp[1:]))
+    bp, jumps = _merge_runs(bp, np.diff(sl), joins)
+    keep = np.abs(jumps) >= SLOPE_JUMP_TOL * (1.0 + np.abs(jumps).sum())
+    if keep.all() and not joins.any():
+        return f  # already canonical; rebuilding would only re-round slopes
+    slopes = np.cumsum(np.concatenate((sl[:1], jumps[keep])))
+    return PwlFunction(bp[keep], slopes, f.anchor)
 
 
 def relu() -> PwlFunction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,24 +49,30 @@ class ThresholdMeasure1D:
     """Discrete signed measure over {-1,+1} x R in the threshold parametrization.
 
     An atom (w, b, mass) contributes mass * [w(x-b)]_+ to the induced
-    function; c is the output offset.
+    function; c is the output offset.  ``arrays`` holds the signs,
+    thresholds and masses of the sorted atoms as three read-only arrays.
     """
 
     atoms: tuple[tuple[int, float, float], ...]
     c: float = 0.0
+    arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms = tuple((int(w), float(b), float(m)) for w, b, m in self.atoms)
-        if any(w not in (-1, 1) for w, _, _ in atoms):
+        a = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 3)
+        w, b, m = np.trunc(a[:, 0]), a[:, 1], a[:, 2]  # trunc, as int() does
+        if np.any(np.abs(w) != 1.0):
             raise ValueError("atom signs must be -1 or +1")
-        if any(m == 0.0 for _, _, m in atoms):
+        if np.any(m == 0.0):
             raise ValueError("atom masses must be nonzero")
-        keys = [(b, w) for w, b, _ in atoms]
-        if len(set(keys)) != len(keys):
+        order = np.lexsort((w, b))
+        w, b, m = w[order], b[order], m[order]
+        if np.any((b[1:] == b[:-1]) & (w[1:] == w[:-1])):
             raise ValueError("at most one atom per (w, b) pair")
-        atoms = tuple(sorted(atoms, key=lambda a: (a[1], a[0])))
-        object.__setattr__(self, "atoms", atoms)
+        w.flags.writeable = b.flags.writeable = m.flags.writeable = False
+        atoms = zip(w.astype(int).tolist(), b.tolist(), m.tolist())
+        object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "arrays", (w, b, m))
 
     def to_dict(self) -> dict:
         return {"atoms": [{"w": w, "b": b, "mass": m} for w, b, m in self.atoms],
@@ -90,28 +96,31 @@ def measure_norm(alpha: ThresholdMeasure1D) -> float:
     return float(sum(abs(m) for _, _, m in alpha.atoms))
 
 
+def _relu_sum(w, b, m, x: float) -> float:
+    """sum_i m_i [w_i (x - b_i)]_+ at one point, as one dot product."""
+    return float(m @ np.maximum(w * (x - b), 0.0))
+
+
+def _measure_pwl(alpha: ThresholdMeasure1D) -> PwlFunction:
+    """Exact function of the measure, no jump dropped: an atom (w, b, m) adds
+    a slope jump m at b, and slope -m on the far left when w = -1."""
+    w, b, m = alpha.arrays
+    anchor = (0.0, alpha.c + _relu_sum(w, b, m, 0.0))
+    return pwl._sum_jumps((-m[w == -1]).sum(), b, m, anchor)
+
+
 def measure_eval(alpha: ThresholdMeasure1D, x):
-    """Induced function h(x) = sum mass * [w(x-b)]_+ + c."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    vals = np.full(xs.shape, alpha.c)
-    for w, b, m in alpha.atoms:
-        vals += m * np.maximum(w * (xs - b), 0.0)
-    return float(vals[0]) if scalar else vals
+    """Induced function h(x) = sum mass * [w(x-b)]_+ + c, through pwl_eval."""
+    return pwl.pwl_eval(_measure_pwl(alpha), x)
 
 
 def representation_cost(f: PwlFunction) -> CostReport:
     """Closed-form cost max(tv, |end sum|) with the active multiplier case."""
     tv = pwl.tv_fprime(f)
     s = pwl.end_slope_sum(f)
-    if s > tv:
-        case = LagrangeCase.NEGATIVE
-    elif s < -tv:
-        case = LagrangeCase.POSITIVE
-    else:
-        case = LagrangeCase.ZERO
-    upper = tv + 2.0 * min(abs(sl) for sl in f.slopes)
+    case = (LagrangeCase.NEGATIVE if s > tv else
+            LagrangeCase.POSITIVE if s < -tv else LagrangeCase.ZERO)
+    upper = tv + 2.0 * float(np.abs(f.arrays[1]).min())
     return CostReport(tv, s, max(tv, abs(s)), case, upper)
 
 
@@ -122,58 +131,43 @@ def _assemble(locs, plus, end_sum, tv, anchor_x, anchor_y) -> ThresholdMeasure1D
     location; alpha_minus is chosen per the multiplier case so that it sums
     to ``end_sum``.  The offset c pins the induced function at the anchor.
     """
-    locs = np.asarray(locs, dtype=float)
-    plus = np.asarray(plus, dtype=float)
+    locs, plus = np.asarray(locs, dtype=float), np.asarray(plus, dtype=float)
     s = float(end_sum)
     m = locs.size
-    if m == 0:
-        if s == 0.0:
-            minus = np.array([])
-        else:
-            locs = np.array([0.0])
-            plus = np.array([0.0])
-            minus = np.array([s])
+    if m == 0 and s != 0.0:
+        locs, plus, minus = np.zeros(1), np.zeros(1), np.array([s])
     elif abs(s) <= tv:
         minus = (s / tv) * np.abs(plus) if tv > 0.0 else np.zeros(m)
     elif s > tv:
         minus = np.abs(plus) + (s - tv) / m
     else:
         minus = -np.abs(plus) + (s + tv) / m
-    scale = 1.0 + tv + abs(s)
-    atoms = []
-    for b, p, q in zip(locs, plus, minus):
-        for w, mass in ((1, 0.5 * (p + q)), (-1, 0.5 * (p - q))):
-            if abs(mass) > _MASS_TOL * scale:
-                atoms.append((w, float(b), float(mass)))
-    partial = ThresholdMeasure1D(tuple(atoms), 0.0)
-    c = anchor_y - measure_eval(partial, anchor_x)
-    return ThresholdMeasure1D(partial.atoms, c)
+    # the -1 and the +1 atom at every location, already in sorted order
+    mass = 0.5 * np.column_stack((plus - minus, plus + minus)).ravel()
+    atoms = np.column_stack((np.tile([-1.0, 1.0], locs.size),
+                             np.repeat(locs, 2), mass))
+    atoms = atoms[np.abs(mass) > _MASS_TOL * (1.0 + tv + abs(s))]
+    return ThresholdMeasure1D(atoms, anchor_y - _relu_sum(*atoms.T, anchor_x))
 
 
 def optimal_alpha(f: PwlFunction) -> ThresholdMeasure1D:
     """A measure representing f whose norm attains representation_cost(f).cost."""
-    atoms = pwl.second_derivative_measure(f)
-    return _assemble(atoms.locations, atoms.masses, pwl.end_slope_sum(f),
-                     pwl.tv_fprime(f), f.anchor[0], f.anchor[1])
+    locs, jumps = pwl._jumps(f)
+    return _assemble(locs, jumps, pwl.end_slope_sum(f), pwl.tv_fprime(f),
+                     f.anchor[0], f.anchor[1])
 
 
 def measure_to_pwl(alpha: ThresholdMeasure1D) -> PwlFunction:
-    """Exact piecewise-linear function induced by a discrete measure."""
-    left_slope = -sum(m for w, _, m in alpha.atoms if w == -1)
-    jumps = [(b, m) for _, b, m in alpha.atoms]
-    anchor = (0.0, measure_eval(alpha, 0.0))
-    return pwl.from_jumps(left_slope, jumps, anchor)
+    """Exact piecewise-linear function induced by a discrete measure: the
+    canonical form of the one measure_eval evaluates through pwl_eval."""
+    return pwl.canonicalize(_measure_pwl(alpha))
 
 
 def measure_to_net(alpha: ThresholdMeasure1D) -> TwoLayerNet:
     """One balanced unit per atom; C(theta) equals the measure norm exactly."""
-    w1, b1, w2 = [], [], []
-    for w, b, m in alpha.atoms:
-        r = np.sqrt(abs(m))
-        w1.append(w * r)
-        b1.append(-w * r * b)
-        w2.append(np.sign(m) * r)
-    return TwoLayerNet(w1, b1, w2, alpha.c)
+    w, b, m = alpha.arrays
+    r = np.sqrt(np.abs(m))
+    return TwoLayerNet(w * r, -w * r * b, np.sign(m) * r, alpha.c)
 
 
 def discretize_smooth(fpp, support, n_atoms: int, end_slope_left: float,

@@ -390,3 +390,68 @@ class TestImprovingDirection:
         s = random_sphere_net(rng, 5, 2)
         with pytest.raises(ValueError):
             improving_direction(s, np.zeros((2, 2)))
+
+
+class TestDeadChains:
+    """Chains dead on every input give zero columns of the prediction map."""
+
+    @staticmethod
+    def _kill(subnets, dead):
+        # after the first layer, nonnegative matrices keep a chain alive
+        # wherever a first-layer unit is; a nonpositive last row kills it
+        out = [[s[0]] + [np.abs(w) for w in s[1:]] for s in subnets]
+        for i in dead:
+            out[i][-1] = -out[i][-1]
+        return tuple(map(tuple, out))
+
+    @staticmethod
+    def _ulp_perturbed(s, rng):
+        def nudge(w):
+            return w * (1.0 + np.finfo(float).eps * rng.choice([-1.0, 1.0],
+                                                               w.shape))
+        subnets = tuple(tuple(nudge(w) for w in mats) for mats in s.subnets)
+        return SphereFactoredNet(subnets, nudge(np.asarray(s.alpha)))
+
+    @pytest.mark.parametrize("L", [3, 4])
+    @pytest.mark.parametrize("n_dead", [1, 2, 3])
+    def test_direction_is_unit_vector_on_first_dead_chain(self, L, n_dead):
+        rng = np.random.default_rng(700 + 10 * L + n_dead)
+        n, d, m, k = 5, 2, 6, 9
+        raw = random_net(rng, L, m, k, d)
+        dead = np.sort(rng.choice(n + 1, n_dead, replace=False))
+        s = align_to_sphere(ParallelDeepNet(self._kill(raw.subnets, dead),
+                                            raw.top))
+        X = rng.standard_normal((n, d))
+        phi = deep._chain_values(s.layers, X)
+        assert np.all(phi[:, dead] == 0.0)
+        assert np.all(np.any(phi != 0.0, axis=0)[np.setdiff1d(range(k), dead)])
+        want = np.zeros(k)
+        want[dead[0]] = 1.0
+        beta, rho = improving_direction(s, X)
+        assert np.array_equal(beta, want)
+        assert rho == 0.5 * abs(s.alpha[dead[0]])
+        # the same vector after ulp-level changes of every weight and of phi
+        for _ in range(3):
+            again, _ = improving_direction(self._ulp_perturbed(s, rng), X)
+            assert np.array_equal(again, want)
+            nudged = phi * (1.0 + np.finfo(float).eps
+                            * rng.choice([-1.0, 1.0], phi.shape))
+            assert np.array_equal(deep._null_vector(nudged[:, :n + 1]),
+                                  want[:n + 1])
+
+    def test_sparsify_zeroes_dead_chains_first(self):
+        rng = np.random.default_rng(77)
+        n, d, k = 4, 2, 9
+        s = random_sphere_net(rng, k, d)
+        X = np.abs(rng.standard_normal((n, d)))
+        # a nonpositive row is dead on the positive quadrant
+        subnets = list(s.subnets)
+        for i in (1, 3):
+            subnets[i] = (-np.abs(subnets[i][0]),)
+        s = SphereFactoredNet(tuple(subnets), s.alpha)
+        out = sparsify_support(s, X)
+        assert out.alpha[1] == 0.0 and out.alpha[3] == 0.0
+        assert np.count_nonzero(out.alpha) <= n
+        assert np.abs(out.alpha).sum() <= np.abs(s.alpha).sum() + 1e-10
+        assert np.allclose(reference_eval(out, X), reference_eval(s, X),
+                           rtol=0.0, atol=1e-10)

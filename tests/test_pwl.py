@@ -175,6 +175,22 @@ class TestCanonicalize:
         assert len(g.breakpoints) == 1
         assert g.slopes == (0.0, 2.0)
 
+    def test_chain_of_close_breakpoints_merges(self):
+        # gaps of 0.6 tol link up although the chain spans 2.4 tol: merging
+        # is single linkage, not distance to the first point of a cluster
+        gap = 0.6 * pwl.BREAKPOINT_MERGE_TOL
+        bp = (-1.0,) + tuple(gap * np.arange(5)) + (1.0,)
+        f = PwlFunction(bp, (0.5, 1.0, -1.0, 2.0, 0.5, -3.0, 2.0, 0.0),
+                        (0.3, -0.2))
+        g = pwl.canonicalize(f)
+        assert g.breakpoints == (-1.0, 0.0, 1.0)
+        assert g.slopes == (0.5, 1.0, 2.0, 0.0)
+        h = pwl.canonicalize(g)
+        assert (h.breakpoints, h.slopes, h.anchor) == \
+            (g.breakpoints, g.slopes, g.anchor)
+        xs = np.linspace(-3, 3, 601)
+        assert np.abs(pwl.pwl_eval(f, xs) - pwl.pwl_eval(g, xs)).max() < 1e-9
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
