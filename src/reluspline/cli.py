@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 validation or oracle failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -50,11 +49,21 @@ def _emit(payload, path: str | None):
         print(text)
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, table, numbered: bool = False):
+    """Write a table of three float columns as csv.writer would.
+
+    Floats print as their shortest repr and lines end in \\r\\n.  With
+    ``numbered``, each row starts with its index, under the first header.
+    """
+    # Python floats: repr of a numpy scalar is "np.float64(...)"
+    rows = np.asarray(table, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        if numbered:
+            fh.writelines(f"{i},{a!r},{b!r},{c!r}\r\n"
+                          for i, (a, b, c) in enumerate(rows))
+        else:
+            fh.writelines(f"{a!r},{b!r},{c!r}\r\n" for a, b, c in rows)
 
 
 def _cmd_repcost(args):
@@ -114,14 +123,15 @@ def _cmd_train2(args):
     with open(f"{prefix}_net.json", "w") as fh:
         fh.write(net.to_json() + "\n")
     _write_csv(f"{prefix}_trace.csv", ["step", "objective", "loss", "cost"],
-               [[i, *row] for i, row in enumerate(result.trace)])
+               result.trace, numbered=True)
     xs = np.linspace(d.xs.min() - 1.0, d.xs.max() + 1.0, 512)
     from .pwl import pwl_eval
     _write_csv(f"{prefix}_grid.csv", ["x", "net", "spline"],
-               [[float(x), float(a), float(b)] for x, a, b in
-                zip(xs, net2.net_eval(net, xs), pwl_eval(interp.spline, xs))])
+               np.column_stack((xs, net2.net_eval(net, xs),
+                                pwl_eval(interp.spline, xs))))
     summary = {
         "steps": result.steps,
+        "stop_reason": result.stop_reason,
         "final_loss": float(result.trace[-1, 1]) if result.steps else None,
         "net_cost": cost,
         "function_cost": rbar,

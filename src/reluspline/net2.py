@@ -108,6 +108,8 @@ class TrainResult:
     # columns: objective, loss, cost; one row per completed step
     trace: np.ndarray = field(repr=False)
     steps: int = 0
+    # "max_steps", "grad_norm" (stop_grad_norm reached) or "zero_steps"
+    stop_reason: str = "max_steps"
 
 
 def net_eval(net: TwoLayerNet, x):
@@ -183,22 +185,14 @@ def objective_and_grad(net: TwoLayerNet, dataset, lam: float):
     """Squared-loss objective sum_n (h(x_n)-y_n)^2 + lam*C(theta) and its gradient.
 
     The ReLU derivative at the kink is taken to be 0.  The lam term excludes
-    the biases.
+    the biases.  Both come from one training step at learning rate 1.
     """
-    xs = np.array([p[0] for p in dataset.points])
-    ys = np.array([p[1] for p in dataset.points])
-    pre = np.outer(xs, net.w1) + net.b1
-    act = np.maximum(pre, 0.0)
-    resid = act @ net.w2 + net.b2 - ys
-    loss = float(resid @ resid)
-    value = loss + lam * net_cost(net)
-    heavy = (pre > 0.0).astype(float)
-    gw2 = 2.0 * (act.T @ resid) + lam * net.w2
-    gb2 = 2.0 * float(resid.sum())
-    back = heavy * resid[:, None] * net.w2
-    gw1 = 2.0 * (back.T @ xs) + lam * net.w1
-    gb1 = 2.0 * back.sum(axis=0)
-    return value, NetGrad(gw1, gb1, gw2, gb2)
+    k = net.k
+    trace, _, g, _ = _descend(_pack(net), k, dataset.xs, dataset.ys, lam,
+                              1.0, 1, 0.0)
+    g[k:3 * k] += lam * np.concatenate([net.w1, net.w2])
+    return float(trace[0, 0]), NetGrad(g[k:2 * k], g[:k], g[2 * k:3 * k],
+                                       float(g[3 * k]))
 
 
 def init(k: int, cfg: TrainConfig) -> TwoLayerNet:
@@ -211,82 +205,86 @@ def init(k: int, cfg: TrainConfig) -> TwoLayerNet:
     return TwoLayerNet(draw(k), draw(k), draw(k), float(rng.uniform(-s, s)))
 
 
+def _pack(net: TwoLayerNet) -> np.ndarray:
+    return np.concatenate([net.b1, net.w1, net.w2, [net.b2, -1.0]])
+
+
 def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
     """Plain full-batch gradient descent with constant step size.
 
     Deterministic given the config.  Stops at max_steps or once the gradient
-    norm drops below stop_grad_norm.  Raises DivergenceError if the objective
-    becomes non-finite.
-
-    The step costs a dozen numpy calls on preallocated buffers, because call
-    overhead, not arithmetic, is what a step of a small net spends.  All
-    parameters live in one vector theta = [b1 | w1 | w2 | b2 | -1]:
-    [b1; w1] is a 2 x k view, so the pre-activations are [1, x] @ [b1; w1];
-    [w2 | b2 | -1] is contiguous, so the residuals are [act, 1, y] @ it; and
-    [w1 | w2] is contiguous, so the weight cost is one dot product.  The
-    trailing -1 has zero gradient and never changes.
+    norm drops below stop_grad_norm, and says which in ``stop_reason``.
+    Raises DivergenceError if the objective becomes non-finite.
     """
-    xs = np.array([p[0] for p in dataset.points])
-    ys = np.array([p[1] for p in dataset.points])
-    n, k = xs.size, net0.k
-    lam, lr, stop = cfg.lam, cfg.learning_rate, cfg.stop_grad_norm
-    theta = np.concatenate([net0.b1, net0.w1, net0.w2, [net0.b2, -1.0]])
-    first = theta[:2 * k].reshape(2, k)
-    weights = theta[k:3 * k]
-    w2 = theta[2 * k:3 * k]
-    second = theta[2 * k:]
-    inputs = np.stack([np.ones(n), xs], axis=1)
-    feats = np.empty((n, k + 2))
-    feats[:, k] = 1.0
-    feats[:, k + 1] = ys
-    act = feats[:, :k]
-    inputs_t, second_feats_t = inputs.T, feats[:, :k + 1].T
-    # half the gradient of the loss; the last entry stays 0
-    half = np.zeros_like(theta)
-    half_first = half[:2 * k].reshape(2, k)
-    half_second = half[2 * k:-1]
-    decay = np.zeros_like(theta)
-    decay[k:3 * k] = lam
-    # gradient descent with the lam term folded in:
-    # theta - lr * (2 * half + decay * theta) = keep * theta - 2 lr * half
-    keep = 1.0 - lr * decay
-    pre = np.empty((n, k))
-    live = np.empty((n, k), dtype=bool)
-    masked = np.empty((n, k))
-    resid = np.empty(n)
-    resid_col = resid[:, None]
-    tmp = np.empty_like(theta)
-    trace = np.empty((cfg.max_steps, 3))
-    done = 0
+    k, theta = net0.k, _pack(net0)
+    trace, done, _, reason = _descend(
+        theta, k, dataset.xs, dataset.ys, cfg.lam, cfg.learning_rate,
+        cfg.max_steps, cfg.stop_grad_norm)
+    net = TwoLayerNet(theta[k:2 * k], theta[:k], theta[2 * k:3 * k],
+                      theta[3 * k])
+    return TrainResult(net, trace[:done], done, reason)
+
+
+def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
+    """Gradient descent in place on theta = [b1 | w1 | w2 | b2 | -1].
+
+    Returns the trace, the steps done, lr times the loss gradient at the
+    last iterate and the stop reason.  A step is a dozen numpy calls on
+    preallocated buffers, since call overhead, not arithmetic, is what a
+    small net spends.  The views [b1; w1], [w2 | b2 | -1] and [w1 | w2] make
+    the pre-activations, the residuals and the weight cost one dot each;
+    the trailing -1 never changes.  Arrays over units and samples are k x n,
+    so elementwise calls run on contiguous rows.
+    """
+    first_t = theta[:2 * k].reshape(2, k).T
+    weights, w2, second = theta[k:3 * k], theta[2 * k:3 * k], theta[2 * k:]
+    inputs = np.stack([np.ones_like(xs), xs])
+    # rx = 2 lr [1; x] resid, masked, summed and times w2 is the first step
+    scaled = 2.0 * lr * inputs
+    rx = np.empty_like(scaled)
+    rx0 = rx[0]
+    feats = np.vstack([np.empty((k, xs.size)), inputs[0], ys])
+    act, second_feats = feats[:k], feats[:k + 1]
+    live = np.empty_like(act)
+    live_t = live.T
+    resid = np.empty_like(xs)
+    # lr times the loss gradient; the last entry stays 0
+    step = np.zeros_like(theta)
+    step_first, step_second = step[:2 * k].reshape(2, k), step[2 * k:-1]
+    # theta - lr * (grad loss + lam * w) = keep * theta - step
+    shrink = np.zeros_like(theta)
+    shrink[k:3 * k] = lr * lam
+    keep = 1.0 - shrink
+    trace = np.empty((max_steps, 3))
+    reason = "max_steps" if max_steps else "zero_steps"
+    # locals and a 0-d zero: name lookups and scalar conversions cost a step
+    maximum, sign, multiply = np.maximum, np.sign, np.multiply
+    isfinite, zero = math.isfinite, np.zeros(())
     # overflow is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.max_steps):
-            np.matmul(inputs, first, out=pre)
-            np.maximum(pre, 0.0, out=act)
-            np.matmul(feats, second, out=resid)
-            loss = resid @ resid
-            cost = 0.5 * (weights @ weights)
+        for i in range(max_steps):
+            first_t.dot(inputs, out=act)
+            maximum(act, zero, out=act)
+            second.dot(feats, out=resid)
+            loss = float(resid.dot(resid))
+            cost = 0.5 * float(weights.dot(weights))
             obj = loss + lam * cost
-            if not math.isfinite(obj):
+            if not isfinite(obj):
                 raise DivergenceError(
-                    f"objective became non-finite at step {step} "
+                    f"objective became non-finite at step {i} "
                     f"(loss={loss!r}, cost={cost!r}); reduce the learning rate")
-            trace[step] = (obj, loss, cost)
-            done = step + 1
-            # d loss / d pre = 2 * resid * w2 where pre > 0; w2 scales
-            # columns, so it is applied after the reduction over samples
-            np.greater(pre, 0.0, out=live)
-            np.multiply(live, resid_col, out=masked)
-            np.matmul(inputs_t, masked, out=half_first)
-            half_first *= w2
-            np.matmul(second_feats_t, resid, out=half_second)
+            trace[i] = (obj, loss, cost)
+            sign(act, out=live)  # act >= 0: its sign is the ReLU derivative
+            multiply(scaled, resid, out=rx)
+            rx.dot(live_t, out=step_first)
+            step_first *= w2
+            second_feats.dot(rx0, out=step_second)
             if stop > 0.0:
-                np.multiply(decay, theta, out=tmp)
-                tmp += 2.0 * half
-                if tmp @ tmp <= stop * stop:
+                # lr times the gradient, against lr times the threshold
+                g = shrink * theta + step
+                if g.dot(g) <= (lr * stop) ** 2:
+                    reason = "grad_norm"
                     break
             theta *= keep
-            np.multiply(half, 2.0 * lr, out=tmp)
-            theta -= tmp
-    return TrainResult(TwoLayerNet(theta[k:2 * k], theta[:k], w2,
-                                   theta[3 * k]), trace[:done], done)
+            theta -= step
+    return trace, i + 1 if max_steps else 0, step, reason

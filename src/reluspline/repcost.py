@@ -59,9 +59,12 @@ class ThresholdMeasure1D:
 
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 3)
-        w, b, m = np.trunc(a[:, 0]), a[:, 1], a[:, 2]  # trunc, as int() does
+        w, b, m = a[:, 0], a[:, 1], a[:, 2]
         if np.any(np.abs(w) != 1.0):
             raise ValueError("atom signs must be -1 or +1")
+        c = float(self.c)
+        if not (np.isfinite(a).all() and np.isfinite(c)):
+            raise ValueError("non-finite atom threshold, mass or offset")
         if np.any(m == 0.0):
             raise ValueError("atom masses must be nonzero")
         order = np.lexsort((w, b))
@@ -71,7 +74,7 @@ class ThresholdMeasure1D:
         w.flags.writeable = b.flags.writeable = m.flags.writeable = False
         atoms = zip(w.astype(int).tolist(), b.tolist(), m.tolist())
         object.__setattr__(self, "atoms", tuple(atoms))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "arrays", (w, b, m))
 
     def to_dict(self) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +22,14 @@ from .pwl import PwlFunction
 
 @dataclass(frozen=True)
 class Dataset:
-    """Finite sample of (x, y) pairs with distinct x, sorted by x."""
+    """Finite sample of (x, y) pairs with distinct x, sorted by x.
+
+    ``xs`` and ``ys`` hold the abscissas and values as read-only arrays.
+    """
 
     points: tuple[tuple[float, float], ...]
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = sorted((float(x), float(y)) for x, y in self.points)
@@ -38,19 +43,15 @@ class Dataset:
                     raise ValueError(f"conflicting y values at x = {x}")
             else:
                 merged.append((x, y))
+        xs, ys = np.array(merged, dtype=float).reshape(-1, 2).T.copy()
+        xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "points", tuple(merged))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.points])
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([y for _, y in self.points])
 
     def to_dict(self) -> dict:
         return {"points": [[x, y] for x, y in self.points]}
@@ -76,12 +77,11 @@ class InterpolationResult:
     gap: float = 0.0
 
 
-def interior_slopes(d: Dataset) -> list[float]:
+def interior_slopes(d: Dataset) -> np.ndarray:
     """Secant slopes between consecutive data points."""
     if d.n < 2:
         raise ValueError("need at least two data points")
-    xs, ys = d.xs, d.ys
-    return [float(v) for v in np.diff(ys) / np.diff(xs)]
+    return np.diff(d.ys) / np.diff(d.xs)
 
 
 def optimal_end_slopes(interior) -> tuple[float, float, float]:
@@ -91,19 +91,20 @@ def optimal_end_slopes(interior) -> tuple[float, float, float]:
     least from the adjacent secant slopes is chosen, then the
     lexicographically smallest.
     """
-    l = list(map(float, interior))
-    if not l:
+    l = np.asarray(interior, dtype=float)
+    if not l.size:
         raise ValueError("interior slopes must be nonempty")
-    t_int = float(np.abs(np.diff(l)).sum()) if len(l) > 1 else 0.0
-    sigma = l[0] + l[-1]
+    t_int = float(np.abs(np.diff(l)).sum())
+    first, last = float(l[0]), float(l[-1])
+    sigma = first + last
     if abs(sigma) <= t_int:
-        return l[0], l[-1], t_int
+        return first, last, t_int
     # bend the end slopes toward each other by a total of s_star
     s_star = 0.5 * (abs(sigma) - t_int)
     value = 0.5 * (t_int + abs(sigma))
     if sigma > 0:
-        return l[0] - s_star, l[-1], value
-    return l[0], l[-1] + s_star, value
+        return first - s_star, last, value
+    return first, last + s_star, value
 
 
 def end_slope_objective(interior, l0: float, ln: float) -> float:
@@ -141,9 +142,8 @@ def grid_oracle_end_slopes(interior, grid: int = 41,
 
 
 def _build_spline(xs, yhat, l0, ln) -> PwlFunction:
-    inner = np.diff(yhat) / np.diff(xs)
-    slopes = (float(l0),) + tuple(inner) + (float(ln),)
-    return PwlFunction(tuple(xs), slopes, (float(xs[0]), float(yhat[0])))
+    slopes = np.concatenate(([l0], np.diff(yhat) / np.diff(xs), [ln]))
+    return PwlFunction(xs, slopes, (xs[0], yhat[0]))
 
 
 def min_norm_interpolant(d: Dataset) -> InterpolationResult:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluspline import cli, pwl
+from reluspline import cli, net2, pwl, spline
 from reluspline.net2 import TwoLayerNet
 
 
@@ -91,6 +93,33 @@ class TestTrain2Command:
         assert len(trace) == 3001
         grid = (tmp_path / "run_grid.csv").read_text().splitlines()
         assert len(grid) == 513
+        assert summary["stop_reason"] == "max_steps"
+
+    def test_csv_files_match_csv_writer(self, tent_dataset, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train2", tent_dataset, "--k", "6", "--steps", "500",
+                         "--lambda", "1e-3", "--seed", "2",
+                         "--prefix", "run"]) == 0
+        d = spline.Dataset.from_json(Path(tent_dataset).read_text())
+        cfg = net2.TrainConfig(lam=1e-3, max_steps=500, seed=2)
+        res = net2.train(net2.init(6, cfg), d, cfg)
+        xs = np.linspace(-1.0, 3.0, 512)
+        fit = spline.min_norm_interpolant(d)
+        expected = {
+            "run_trace.csv": (["step", "objective", "loss", "cost"],
+                              [[i, *row] for i, row in enumerate(res.trace)]),
+            "run_grid.csv": (["x", "net", "spline"], [
+                [float(x), float(a), float(b)] for x, a, b in zip(
+                    xs, net2.net_eval(res.net, xs),
+                    pwl.pwl_eval(fit.spline, xs))]),
+        }
+        for name, (header, rows) in expected.items():
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
 
     def test_divergence_exit_code(self, tent_dataset, tmp_path, monkeypatch,
                                   capsys):
@@ -144,7 +173,9 @@ class TestHighdimCommand:
                        "--r-sweep", "50,100", "--samples", "20000",
                        "--seed", "3", "--output", str(out)])
         assert rc == 0
-        rows = out.read_text().splitlines()
+        text = out.read_text()
+        assert "np.float64(" not in text
+        rows = text.splitlines()
         assert rows[0] == "r,estimate,std_error"
         assert len(rows) == 3
         for row in rows[1:]:
@@ -157,7 +188,9 @@ class TestHighdimCommand:
                        "--r-sweep", "5,10", "--samples", "40",
                        "--seed", "0", "--output", str(out)])
         assert rc == 0
-        rows = out.read_text().splitlines()[1:]
+        text = out.read_text()
+        assert "np.float64(" not in text
+        rows = text.splitlines()[1:]
         vals = [float(r.split(",")[1]) for r in rows]
         assert vals[1] < vals[0]
 

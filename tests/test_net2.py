@@ -282,6 +282,78 @@ class TestTrain:
                           init_scale=0.01, stop_grad_norm=1e-8)
         res = train(net2.init(2, cfg), d, cfg)
         assert res.steps < 10_000
+        assert res.stop_reason == "grad_norm"
+
+    def test_stop_reason(self):
+        d = Dataset(((0.0, 1.0), (1.0, 3.0)))
+        for steps, reason in ((0, "zero_steps"), (10, "max_steps")):
+            cfg = TrainConfig(max_steps=steps, seed=0)
+            res = train(net2.init(3, cfg), d, cfg)
+            assert (res.steps, res.stop_reason) == (steps, reason)
+            assert res.trace.shape == (steps, 3)
+
+
+def reference_descent(net0, d, lam, lr, steps, stop=0.0):
+    """Plain gradient descent with the gradient written out, one net at a time.
+
+    Returns the trace rows (objective, loss, cost) and the final weights.
+    """
+    w1, b1, w2, b2 = (np.array(net0.w1), np.array(net0.b1),
+                      np.array(net0.w2), net0.b2)
+    xs, ys = np.array(d.xs), np.array(d.ys)
+    trace = []
+    for _ in range(steps):
+        pre = np.outer(xs, w1) + b1
+        act = np.maximum(pre, 0.0)
+        r = act @ w2 + b2 - ys
+        loss, cost = r @ r, 0.5 * (w1 @ w1 + w2 @ w2)
+        trace.append((loss + lam * cost, loss, cost))
+        back = (pre > 0.0) * r[:, None] * w2
+        g1 = 2.0 * (back.T @ xs) + lam * w1
+        gb1 = 2.0 * back.sum(axis=0)
+        g2 = 2.0 * (act.T @ r) + lam * w2
+        gb2 = 2.0 * r.sum()
+        norm = np.sqrt(g1 @ g1 + gb1 @ gb1 + g2 @ g2 + gb2 * gb2)
+        if stop > 0.0 and norm <= stop:
+            break
+        w1, b1, w2, b2 = w1 - lr * g1, b1 - lr * gb1, w2 - lr * g2, b2 - lr * gb2
+    return np.array(trace), (w1, b1, w2, np.array([b2]))
+
+
+class TestTrainMatchesReference:
+    """train's packed kernel against reference_descent, to rounding."""
+
+    DATA = random_dataset(np.random.default_rng(41), 6)
+
+    @staticmethod
+    def rel(a, b):
+        return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+    @pytest.mark.parametrize("k", [20, 100])
+    def test_trace_and_weights(self, k):
+        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=2000, seed=k)
+        net0 = net2.init(k, cfg)
+        res = train(net0, self.DATA, cfg)
+        trace, weights = reference_descent(net0, self.DATA, 0.05, 1e-2, 2000)
+        assert res.trace.shape == trace.shape
+        assert self.rel(res.trace, trace) < 1e-10
+        got = (res.net.w1, res.net.b1, res.net.w2, [res.net.b2])
+        for a, b in zip(got, weights):
+            assert self.rel(a, b) < 1e-10
+
+    def test_grad_norm_stop_step(self):
+        # the gradient norm oscillates down; 0.3 is first met at step 668,
+        # where it reads 0.9996 of the threshold and the step before 1.0076
+        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=20_000,
+                          seed=3, stop_grad_norm=0.3)
+        net0 = net2.init(5, cfg)
+        res = train(net0, self.DATA, cfg)
+        trace, weights = reference_descent(net0, self.DATA, 0.05, 1e-2,
+                                           20_000, stop=0.3)
+        assert (res.steps, res.stop_reason) == (len(trace), "grad_norm")
+        assert res.steps < 20_000
+        assert self.rel(res.trace, trace) < 1e-10
+        assert self.rel(res.net.w1, weights[0]) < 1e-10
 
 
 class TestExactOptimumBound:

@@ -228,7 +228,8 @@ class TestInvalidInputs:
             ThresholdMeasure1D(tuple(atoms), alpha.c)
 
     @SETTINGS
-    @given(measures(max_atoms=200), st.integers(-5, 5).filter(
+    @given(measures(max_atoms=200), (st.integers(-5, 5) | st.floats(-5, 5)
+                                     | non_finite).filter(
         lambda w: abs(w) != 1), st.integers(0, 10**6))
     def test_bad_sign(self, alpha, w, i):
         atoms = list(alpha.atoms) + [(1, 0.0, 1.0)]
@@ -236,6 +237,19 @@ class TestInvalidInputs:
         atoms[i % len(atoms)] = (w, b, m)
         with raises("atom signs must be -1 or +1"):
             ThresholdMeasure1D(tuple(atoms), alpha.c)
+
+    @SETTINGS
+    @given(measures(max_atoms=200), non_finite, st.integers(0, 10**6),
+           st.sampled_from(["threshold", "mass", "offset"]))
+    def test_non_finite_atom(self, alpha, bad, i, field):
+        atoms = [list(a) for a in alpha.atoms] + [[1, 0.0, 1.0]]
+        c = alpha.c
+        if field == "offset":
+            c = bad
+        else:
+            atoms[i % len(atoms)][1 if field == "threshold" else 2] = bad
+        with raises("non-finite atom threshold, mass or offset"):
+            ThresholdMeasure1D(tuple(map(tuple, atoms)), c)
 
     @SETTINGS
     @given(measures(max_atoms=200), st.integers(0, 10**6))

@@ -40,18 +40,28 @@ class TestDataset:
         d = Dataset(((0.0, 1.0), (2.0, -1.0)))
         assert Dataset.from_json(d.to_json()).points == d.points
 
+    def test_arrays_follow_points(self):
+        d = Dataset(((2.0, 1.0), (0.0, 3.0), (2.0, 1.0)))
+        assert d.xs.tolist() == [0.0, 2.0] and d.ys.tolist() == [3.0, 1.0]
+        with pytest.raises(ValueError):
+            d.xs[0] = 5.0
+        assert d.to_dict() == {"points": [[0.0, 3.0], [2.0, 1.0]]}
+        assert d == Dataset(((0.0, 3.0), (2.0, 1.0)))
+        assert Dataset(()).xs.shape == Dataset(()).ys.shape == (0,)
+
 
 class TestInteriorSlopes:
     def test_two_points(self):
-        assert spline.interior_slopes(Dataset(((0, 0), (1, 1)))) == [1.0]
+        assert spline.interior_slopes(
+            Dataset(((0, 0), (1, 1)))).tolist() == [1.0]
 
     def test_tent(self):
         assert spline.interior_slopes(
-            Dataset(((0, 0), (1, 1), (2, 0)))) == [1.0, -1.0]
+            Dataset(((0, 0), (1, 1), (2, 0)))).tolist() == [1.0, -1.0]
 
     def test_uneven_spacing(self):
         assert spline.interior_slopes(
-            Dataset(((0, 0), (2, 4), (3, 4)))) == [2.0, 0.0]
+            Dataset(((0, 0), (2, 4), (3, 4)))).tolist() == [2.0, 0.0]
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
