@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import count
 
 import numpy as np
 
@@ -55,15 +56,18 @@ def _write_csv(path: str, header, table, numbered: bool = False):
     Floats print as their shortest repr and lines end in \\r\\n.  With
     ``numbered``, each row starts with its index, under the first header.
     """
-    # Python floats: repr of a numpy scalar is "np.float64(...)"
-    rows = np.asarray(table, dtype=float).tolist()
+    # Python floats: repr of a numpy scalar is "np.float64(...)".  One
+    # iterator drawn three times per row streams the cells without building
+    # a list of rows or of strings.
+    cells = map(repr, np.asarray(table, dtype=float).ravel().tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         if numbered:
-            fh.writelines(f"{i},{a!r},{b!r},{c!r}\r\n"
-                          for i, (a, b, c) in enumerate(rows))
+            fh.writelines(f"{i},{a},{b},{c}\r\n"
+                          for i, a, b, c in zip(count(), cells, cells, cells))
         else:
-            fh.writelines(f"{a!r},{b!r},{c!r}\r\n" for a, b, c in rows)
+            fh.writelines(f"{a},{b},{c}\r\n"
+                          for a, b, c in zip(cells, cells, cells))
 
 
 def _cmd_repcost(args):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -20,45 +22,72 @@ from . import repcost
 from .pwl import PwlFunction
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Finite sample of (x, y) pairs with distinct x, sorted by x.
+    """Finite sample of (x, y) pairs with distinct x, sorted by x; immutable.
 
-    ``xs`` and ``ys`` hold the abscissas and values as read-only arrays.
+    The read-only arrays ``xs`` and ``ys`` are the storage; ``points`` is the
+    same sample as a tuple of (x, y) float pairs, built on first use.  Two
+    datasets are equal, and hash alike, when their points are.
     """
 
-    points: tuple[tuple[float, float], ...]
-    xs: np.ndarray = field(init=False, repr=False, compare=False)
-    ys: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, points):
+        """Sort the pairs by (x, y) and merge repeated x.
 
-    def __post_init__(self):
-        pts = sorted((float(x), float(y)) for x, y in self.points)
-        if not np.isfinite(pts).all():
+        The first sorted pair at an x is kept; any other pair there must
+        agree with its y to 1e-12 (1 + max |y|).
+        """
+        points = tuple(points)
+        if list(map(len, points)).count(2) != len(points):
+            raise ValueError("dataset points must be (x, y) pairs")
+        flat = np.fromiter(chain.from_iterable(points), float, 2 * len(points))
+        if not np.isfinite(flat).all():
             raise ValueError("dataset points must be finite")
-        yscale = 1.0 + max((abs(y) for _, y in pts), default=0.0)
-        merged: list[tuple[float, float]] = []
-        for x, y in pts:
-            if merged and x == merged[-1][0]:
-                if abs(y - merged[-1][1]) > 1e-12 * yscale:
-                    raise ValueError(f"conflicting y values at x = {x}")
-            else:
-                merged.append((x, y))
-        xs, ys = np.array(merged, dtype=float).reshape(-1, 2).T.copy()
+        # numpy orders complex numbers by (real, imag), so a stable sort of
+        # the pairs viewed as x + iy sorts by (x, y) as sorted() does
+        order = np.argsort(flat.view(complex), kind="stable")
+        xs, ys = flat[0::2][order], flat[1::2][order]
+        repeat = xs[1:] == xs[:-1]
+        if repeat.any():
+            first = np.concatenate(([True], ~repeat))
+            kept = ys[first][np.cumsum(first) - 1]
+            bad = np.abs(ys - kept) > 1e-12 * (1.0 + np.abs(ys).max())
+            if bad.any():
+                raise ValueError(
+                    f"conflicting y values at x = {float(xs[bad.argmax()])}")
+            xs, ys = xs[first], ys[first]
         xs.flags.writeable = ys.flags.writeable = False
-        object.__setattr__(self, "points", tuple(merged))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable: cannot set {name!r}")
+
+    @cached_property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.xs, other.xs)
+                and np.array_equal(self.ys, other.ys))
+
+    def __hash__(self):
+        return hash(self.points)
+
+    def __repr__(self):
+        return f"Dataset(points={self.points!r})"
+
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.xs.size
 
     def to_dict(self) -> dict:
-        return {"points": [[x, y] for x, y in self.points]}
+        return {"points": np.column_stack((self.xs, self.ys)).tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dataset":
-        return cls(tuple((x, y) for x, y in d["points"]))
+        return cls(d["points"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

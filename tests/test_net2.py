@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,8 @@ class TestTrain:
         res = train(net2.init(2, cfg), d, cfg)
         assert res.steps < 10_000
         assert res.stop_reason == "grad_norm"
+        # a copy, not a view holding the whole max_steps buffer
+        assert res.trace.base is None and res.trace.shape == (res.steps, 3)
 
     def test_stop_reason(self):
         d = Dataset(((0.0, 1.0), (1.0, 3.0)))
@@ -296,12 +300,13 @@ class TestTrain:
 def reference_descent(net0, d, lam, lr, steps, stop=0.0):
     """Plain gradient descent with the gradient written out, one net at a time.
 
-    Returns the trace rows (objective, loss, cost) and the final weights.
+    Returns the trace rows (objective, loss, cost), the final weights and
+    the gradient norm at each step.
     """
     w1, b1, w2, b2 = (np.array(net0.w1), np.array(net0.b1),
                       np.array(net0.w2), net0.b2)
     xs, ys = np.array(d.xs), np.array(d.ys)
-    trace = []
+    trace, norms = [], []
     for _ in range(steps):
         pre = np.outer(xs, w1) + b1
         act = np.maximum(pre, 0.0)
@@ -314,10 +319,11 @@ def reference_descent(net0, d, lam, lr, steps, stop=0.0):
         g2 = 2.0 * (act.T @ r) + lam * w2
         gb2 = 2.0 * r.sum()
         norm = np.sqrt(g1 @ g1 + gb1 @ gb1 + g2 @ g2 + gb2 * gb2)
+        norms.append(norm)
         if stop > 0.0 and norm <= stop:
             break
         w1, b1, w2, b2 = w1 - lr * g1, b1 - lr * gb1, w2 - lr * g2, b2 - lr * gb2
-    return np.array(trace), (w1, b1, w2, np.array([b2]))
+    return np.array(trace), (w1, b1, w2, np.array([b2])), np.array(norms)
 
 
 class TestTrainMatchesReference:
@@ -329,17 +335,19 @@ class TestTrainMatchesReference:
     def rel(a, b):
         return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
 
-    @pytest.mark.parametrize("k", [20, 100])
-    def test_trace_and_weights(self, k):
-        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=2000, seed=k)
-        net0 = net2.init(k, cfg)
-        res = train(net0, self.DATA, cfg)
-        trace, weights = reference_descent(net0, self.DATA, 0.05, 1e-2, 2000)
+    def check(self, res, trace, weights, _norms):
         assert res.trace.shape == trace.shape
         assert self.rel(res.trace, trace) < 1e-10
         got = (res.net.w1, res.net.b1, res.net.w2, [res.net.b2])
         for a, b in zip(got, weights):
             assert self.rel(a, b) < 1e-10
+
+    @pytest.mark.parametrize("k", [20, 100])
+    def test_trace_and_weights(self, k):
+        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=2000, seed=k)
+        net0 = net2.init(k, cfg)
+        res = train(net0, self.DATA, cfg)
+        self.check(res, *reference_descent(net0, self.DATA, 0.05, 1e-2, 2000))
 
     def test_grad_norm_stop_step(self):
         # the gradient norm oscillates down; 0.3 is first met at step 668,
@@ -348,12 +356,71 @@ class TestTrainMatchesReference:
                           seed=3, stop_grad_norm=0.3)
         net0 = net2.init(5, cfg)
         res = train(net0, self.DATA, cfg)
-        trace, weights = reference_descent(net0, self.DATA, 0.05, 1e-2,
-                                           20_000, stop=0.3)
+        trace, weights, _ = reference_descent(net0, self.DATA, 0.05, 1e-2,
+                                              20_000, stop=0.3)
         assert (res.steps, res.stop_reason) == (len(trace), "grad_norm")
         assert res.steps < 20_000
         assert self.rel(res.trace, trace) < 1e-10
         assert self.rel(res.net.w1, weights[0]) < 1e-10
+
+
+    @pytest.mark.parametrize("steps", [1, 127, 128, 129, 300])
+    def test_block_edges(self, steps):
+        # the kernel runs blocks of min(128, max_steps) steps here
+        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=steps, seed=1)
+        net0 = net2.init(20, cfg)
+        self.check(train(net0, self.DATA, cfg),
+                   *reference_descent(net0, self.DATA, 0.05, 1e-2, steps))
+
+    @pytest.mark.parametrize("at", [0, 127, 128])
+    def test_grad_norm_stop_at_block_edge(self, at):
+        # the gradient norm is a running minimum at step 127, the last of
+        # the first block, and at 128, the first of the second; a threshold
+        # above the first norm stops at step 0
+        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=300, seed=4)
+        net0 = net2.init(5, cfg)
+        norms = reference_descent(net0, self.DATA, 0.05, 1e-2, 300)[2]
+        above = norms[:at].min() if at else 2.0 * norms[0]
+        assert norms[at] < above
+        stop = float(np.sqrt(norms[at] * above))
+        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=300, seed=4,
+                          stop_grad_norm=stop)
+        res = train(net0, self.DATA, cfg)
+        assert (res.steps, res.stop_reason) == (at + 1, "grad_norm")
+        self.check(res, *reference_descent(net0, self.DATA, 0.05, 1e-2, 300,
+                                           stop=stop))
+
+    @pytest.mark.parametrize("lr", [10.0, 4.0, 1.0])
+    def test_divergence_step(self, lr):
+        # the objective overflows at steps 96, 130 and 321: in the first
+        # block of 128 steps, early in the second and in the third
+        d = Dataset(((0.0, 1.0), (1.0, 3.0)))
+        cfg = TrainConfig(learning_rate=lr, max_steps=600, seed=0,
+                          init_scale=0.5)
+        net0 = net2.init(10, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = reference_descent(net0, d, 0.0, lr, 600)[0]
+        step = int(np.flatnonzero(~np.isfinite(trace[:, 0]))[0])
+        with pytest.raises(DivergenceError, match=f"at step {step} "):
+            train(net0, d, cfg)
+
+    def test_kernel_memory(self):
+        # beyond the trace and the two k x n buffers, the kernel holds six
+        # rows of n: the two constant rows of feats, the two of inputs and
+        # the residual buffer, which at n = 20 000 is a block of one step;
+        # 40 KB more covers the Python objects (about 8 KB of them)
+        n, k, steps = 20_000, 5, 4
+        xs = np.linspace(-1.0, 1.0, n)
+        d = Dataset(tuple(zip(xs.tolist(), np.sin(3.0 * xs).tolist())))
+        cfg = TrainConfig(max_steps=steps, seed=0)
+        net0 = net2.init(k, cfg)
+        tracemalloc.start()
+        try:
+            train(net0, d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * (3 * steps + 2 * k * n) <= 6 * 8 * n + 40_000
 
 
 class TestExactOptimumBound:

@@ -16,6 +16,7 @@ from reluspline import pwl, repcost
 from reluspline.net2 import TwoLayerNet, net_cost, net_eval, to_pwl
 from reluspline.pwl import AtomList1D, PwlFunction
 from reluspline.repcost import ThresholdMeasure1D
+from reluspline.spline import Dataset
 
 SETTINGS = settings(max_examples=40, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -268,3 +269,64 @@ class TestInvalidInputs:
     def test_atom_locations_must_increase(self):
         with raises("atom locations must be strictly increasing"):
             AtomList1D(((0.0, 1.0), (2.0, 1.0), (2.0, -1.0)))
+
+
+def reference_dataset(points):
+    """Dataset's former point-by-point construction: sort the (x, y)
+    tuples, then keep the first pair at each x and check the rest against it."""
+    pts = sorted((float(x), float(y)) for x, y in points)
+    if not np.isfinite(pts).all():
+        raise ValueError("dataset points must be finite")
+    yscale = 1.0 + max((abs(y) for _, y in pts), default=0.0)
+    merged = []
+    for x, y in pts:
+        if merged and x == merged[-1][0]:
+            if abs(y - merged[-1][1]) > 1e-12 * yscale:
+                raise ValueError(f"conflicting y values at x = {x}")
+        else:
+            merged.append((x, y))
+    return tuple(merged)
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 40 pairs over a few x values, both signed zeros among them.
+    The y at one x repeat exactly or differ by steps near the 1e-12
+    relative merge tolerance; now and then a value is not finite."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5])
+                         | st.floats(-5, 5), min_size=1, max_size=6))
+    bases = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.0, 40.0]),
+                          min_size=len(pool), max_size=len(pool)))
+    step = draw(st.sampled_from([1e-13, 1e-12, 1e-11]))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(-30, 30)), max_size=40))
+    # j = 0 keeps the base as it is: -0.0 + 0.0 would be 0.0
+    points = [(pool[i], bases[i] + j * step if j else bases[i])
+              for i, j in picks]
+    if points and draw(st.integers(0, 9)) == 0:
+        points[draw(st.integers(0, len(points) - 1))] = (
+            draw(non_finite), 0.0)
+    return points
+
+
+def outcome(build, points):
+    try:
+        return build(points)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDataset:
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    def test_matches_point_by_point_reference(self, points):
+        want = outcome(reference_dataset, points)
+        got = outcome(lambda p: Dataset(p).points, points)
+        # repr tells -0.0 from 0.0, so the kept pair must be the same one
+        assert repr(got) == repr(want)
+        if not isinstance(want, str):
+            d = Dataset(points)
+            assert (d.xs.tolist(), d.ys.tolist()) == (
+                [x for x, _ in want], [y for _, y in want])
+            assert d == Dataset(want) and hash(d) == hash(Dataset(want))
+            assert d.to_dict() == {"points": [list(p) for p in want]}

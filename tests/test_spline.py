@@ -49,6 +49,32 @@ class TestDataset:
         assert d == Dataset(((0.0, 3.0), (2.0, 1.0)))
         assert Dataset(()).xs.shape == Dataset(()).ys.shape == (0,)
 
+    @pytest.mark.parametrize("points", [((1.0, 2.0, 3.0),), ((1.0,),),
+                                        ((0.0, 1.0), (1.0, 2.0, 3.0), (2.0,))])
+    def test_rejects_non_pairs(self, points):
+        with pytest.raises(ValueError, match="must be"):
+            Dataset(points)
+
+    def test_ties_keep_first_in_input_order(self):
+        # (0.0, y) and (-0.0, y) sort as equal, so which one is kept depends
+        # on a stable sort; 64 points take numpy past its insertion sort
+        pool = [(0.0, 1.0), (-0.0, 1.0), (2.0, 0.0), (2.0, -0.0), (1.0, 5.0)]
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            points = [pool[i] for i in rng.integers(0, len(pool), 64)]
+            kept = {}
+            for x, y in points:
+                kept.setdefault(x, (x, y))
+            want = tuple(kept[x] for x in sorted(kept))
+            assert repr(Dataset(points).points) == repr(want)
+
+    def test_equality_and_hash_follow_points(self):
+        d = Dataset([[1, 2], [0, 1]])
+        e = Dataset(((-0.0, 1.0), (1.0, 2.0)))
+        assert d == e and hash(d) == hash(e) and len({d, e}) == 1
+        assert d != Dataset(((0.0, 1.0), (1.0, 2.5))) and d != d.points
+        assert repr(d) == "Dataset(points=((0.0, 1.0), (1.0, 2.0)))"
+
 
 class TestInteriorSlopes:
     def test_two_points(self):
