@@ -32,8 +32,8 @@ print("longer training pushes both ratios to 1; the tiny weight decay")
 print("slowly balances each unit without changing the learned function")
 
 # the breakpoint atoms of the learned function are the learned 'features'
-atoms = rs.extract_u(result.net)
-big = sorted(atoms.atoms, key=lambda a: -abs(a[1]))[:5]
+atoms = rs.extract_u(result.net).atoms
+big = atoms[np.argsort(-np.abs(atoms[:, 1]), kind="stable")[:5]]
 print("largest slope-change atoms (location, mass):")
-for b, m in sorted(big):
+for b, m in big[np.argsort(big[:, 0])]:
     print(f"  {b:+.3f}  {m:+.3f}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import deep, highdim, net2, repcost, spline
 from .net2 import DivergenceError
-from .pwl import PwlFunction
+from .pwl import PwlFunction, pwl_eval
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -103,9 +103,7 @@ def _cmd_interp(args):
                 f"solver value {res.cost} disagrees with oracle {oracle[2]}")
     if args.trace_grid:
         xs = np.linspace(d.xs.min() - 1.0, d.xs.max() + 1.0, args.trace_grid)
-        from .pwl import pwl_eval
-        payload["trace"] = [[float(x), float(y)]
-                            for x, y in zip(xs, pwl_eval(res.spline, xs))]
+        payload["trace"] = np.column_stack((xs, pwl_eval(res.spline, xs))).tolist()
     _emit(payload, args.output)
     return 0
 
@@ -129,7 +127,6 @@ def _cmd_train2(args):
     _write_csv(f"{prefix}_trace.csv", ["step", "objective", "loss", "cost"],
                result.trace, numbered=True)
     xs = np.linspace(d.xs.min() - 1.0, d.xs.max() + 1.0, 512)
-    from .pwl import pwl_eval
     _write_csv(f"{prefix}_grid.csv", ["x", "net", "spline"],
                np.column_stack((xs, net2.net_eval(net, xs),
                                 pwl_eval(interp.spline, xs))))

@@ -13,10 +13,11 @@ Chains are evaluated batched: matrix j of every chain is stacked into one
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._value import Value, frozen
 
 _UNIT_TOL = 1e-12
 
@@ -88,8 +89,8 @@ class _Chains:
         return self.layers[0].shape[2] if self.layers else 0
 
 
-@dataclass(frozen=True)
-class ParallelDeepNet(_Chains):
+@dataclass(frozen=True, eq=False)
+class ParallelDeepNet(_Chains, Value):
     """k parallel chains of L-1 bias-free matrices plus top coefficients.
 
     ``subnets[i][j]`` is a read-only view of the stacked ``layers[j][i]``.
@@ -100,35 +101,19 @@ class ParallelDeepNet(_Chains):
     layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        top = np.asarray(self.top, dtype=float)
+        top = frozen(self.top)
         if top.ndim != 1 or top.size != len(self.subnets):
             raise ValueError("need one top coefficient per subnet")
         layers = _stack_layers(self.subnets)
         if not np.all(np.isfinite(top)):
             raise ValueError("non-finite top coefficient")
-        top.setflags(write=False)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "subnets", tuple(zip(*layers)))
         object.__setattr__(self, "top", top)
 
-    def to_dict(self) -> dict:
-        return {"subnets": [[w.tolist() for w in s] for s in self.subnets],
-                "top": self.top.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParallelDeepNet":
-        return cls(tuple(tuple(w for w in s) for s in d["subnets"]), d["top"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "ParallelDeepNet":
-        return cls.from_dict(json.loads(s))
-
-
-@dataclass(frozen=True)
-class SphereFactoredNet(_Chains):
+@dataclass(frozen=True, eq=False)
+class SphereFactoredNet(_Chains, Value):
     """Parallel net with every matrix on the Frobenius unit sphere."""
 
     subnets: tuple[tuple[np.ndarray, ...], ...]

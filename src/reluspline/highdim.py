@@ -8,11 +8,12 @@ finite-difference estimator showing its normalized Hessian mass vanishes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._value import Value, frozen
 
 _UNIT_TOL = 1e-12
 # Flux samples per batch.  Each batch's temporaries (about 160 kB at d=2 with
@@ -31,54 +32,41 @@ def sphere_area(d: int) -> float:
     return float(2 * np.pi ** (d / 2) / math.gamma(d / 2))
 
 
-@dataclass(frozen=True)
-class AtomMeasureDD:
-    """Discrete measure of ReLU atoms mass * [<w,x> + b]_+ with unit w."""
+@dataclass(frozen=True, eq=False)
+class AtomMeasureDD(Value):
+    """Discrete measure of ReLU atoms mass * [<w,x> + b]_+ with unit w.
 
-    atoms: tuple[tuple[tuple[float, ...], float, float], ...]
+    ``atoms`` holds one row (w_1, ..., w_d, b, mass) per atom; each atom may
+    also be given as a triple (w, b, mass) with w a d-sequence.
+    """
+
+    atoms: np.ndarray
     c: float = 0.0
     d: int = 2
 
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
-        atoms = []
-        for w, b, m in self.atoms:
-            w = tuple(float(v) for v in w)
-            if len(w) != self.d:
-                raise ValueError("atom direction has wrong dimension")
-            if abs(np.linalg.norm(w) - 1.0) > _UNIT_TOL:
-                raise ValueError("atom directions must be unit vectors")
-            atoms.append((w, float(b), float(m)))
-        object.__setattr__(self, "atoms", tuple(atoms))
-        object.__setattr__(self, "c", float(self.c))
+        rows = [np.hstack(atom) for atom in self.atoms]
+        if any(row.size != self.d + 2 for row in rows):
+            raise ValueError("atom direction has wrong dimension")
+        a = frozen(rows).reshape(len(rows), self.d + 2)
+        c = float(self.c)
+        if not (np.isfinite(a).all() and np.isfinite(c)):
+            raise ValueError("non-finite atom direction, bias, mass or offset")
+        if np.any(np.abs(np.linalg.norm(a[:, :-2], axis=1) - 1.0) > _UNIT_TOL):
+            raise ValueError("atom directions must be unit vectors")
+        object.__setattr__(self, "atoms", a)
+        object.__setattr__(self, "c", c)
 
     def directions(self) -> np.ndarray:
-        return np.array([w for w, _, _ in self.atoms]).reshape(-1, self.d)
+        return self.atoms[:, :-2]
 
     def biases(self) -> np.ndarray:
-        return np.array([b for _, b, _ in self.atoms])
+        return self.atoms[:, -2]
 
     def masses(self) -> np.ndarray:
-        return np.array([m for _, _, m in self.atoms])
-
-    def to_dict(self) -> dict:
-        return {"atoms": [{"w": list(w), "b": b, "mass": m}
-                          for w, b, m in self.atoms],
-                "c": self.c, "d": self.d}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AtomMeasureDD":
-        return cls(tuple((tuple(a["w"]), a["b"], a["mass"])
-                         for a in data["atoms"]),
-                   data.get("c", 0.0), data["d"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "AtomMeasureDD":
-        return cls.from_dict(json.loads(s))
+        return self.atoms[:, -1]
 
 
 def eval_dd(alpha: AtomMeasureDD, x) -> float:
@@ -110,34 +98,18 @@ def _sphere_samples(rng, n: int, d: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def laplacian_flux_estimate(source, r: float, n_samples: int,
-                            seed: int = 0, d: int | None = None) -> FluxEstimate:
-    """Monte-Carlo surface flux (A_d / V_{d-1}) * E_u <grad f(r u), u>.
-
-    ``source`` is an AtomMeasureDD or a callable returning the gradient at a
-    point (then ``d`` is required).  For a nonnegative measure the estimate
-    converges to the total mass as r grows.
+def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
+                            seed: int = 0) -> FluxEstimate:
+    """Monte-Carlo surface flux (A_d / V_{d-1}) * E_u <grad f(r u), u> of the
+    function f of the measure ``source``.  For a nonnegative measure the
+    estimate converges to the total mass as r grows.
     """
     if not 0 < r < np.inf:
         raise ValueError("radius must be positive and finite")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if isinstance(source, AtomMeasureDD):
-        d = source.d
-        dirs, biases, masses = (source.directions(), source.biases(),
-                                source.masses())
-
-        def radial_flux(u):
-            proj = u @ dirs.T
-            pre = r * proj + biases
-            return np.einsum("nk,nk->n", (pre > 0.0) * masses, proj)
-    else:
-        if d is None:
-            raise ValueError("d is required for a callable gradient")
-
-        def radial_flux(u):
-            return np.array([float(np.dot(source(r * ui), ui)) for ui in u])
-
+    d = source.d
+    w, b, m = source.directions(), source.biases(), source.masses()
     rng = np.random.Generator(np.random.Philox(seed))
     scale = sphere_area(d) / ball_volume(d - 1)
     total = 0.0
@@ -145,7 +117,9 @@ def laplacian_flux_estimate(source, r: float, n_samples: int,
     done = 0
     while done < n_samples:
         batch = min(_FLUX_BATCH, n_samples - done)
-        vals = scale * radial_flux(_sphere_samples(rng, batch, d))
+        proj = _sphere_samples(rng, batch, d) @ w.T
+        pre = r * proj + b
+        vals = scale * np.einsum("nk,nk->n", (pre > 0.0) * m, proj)
         total += float(vals.sum())
         total_sq += float(vals @ vals)
         done += batch

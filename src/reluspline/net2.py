@@ -7,13 +7,13 @@ derivative, and deterministic full-batch gradient-descent training.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pwl
+from ._value import Value, frozen
 from .pwl import AtomList1D, PwlFunction
 
 
@@ -21,14 +21,8 @@ class DivergenceError(RuntimeError):
     """Raised when the training objective becomes non-finite."""
 
 
-def _frozen_array(values) -> np.ndarray:
-    a = np.array(values, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class TwoLayerNet:
+@dataclass(frozen=True, eq=False)
+class TwoLayerNet(Value):
     """theta = (k, w1, b1, w2, b2) with scalar input and output."""
 
     w1: np.ndarray
@@ -37,34 +31,18 @@ class TwoLayerNet:
     b2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w1", _frozen_array(self.w1))
-        object.__setattr__(self, "b1", _frozen_array(self.b1))
-        object.__setattr__(self, "w2", _frozen_array(self.w2))
+        for name in ("w1", "b1", "w2"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
         object.__setattr__(self, "b2", float(self.b2))
         if not (self.w1.shape == self.b1.shape == self.w2.shape) or self.w1.ndim != 1:
             raise ValueError("w1, b1, w2 must be equal-length vectors")
-        if not (np.all(np.isfinite(self.w1)) and np.all(np.isfinite(self.b1))
-                and np.all(np.isfinite(self.w2)) and np.isfinite(self.b2)):
+        if not np.isfinite(np.concatenate((self.w1, self.b1, self.w2,
+                                           [self.b2]))).all():
             raise ValueError("non-finite network weight")
 
     @property
     def k(self) -> int:
         return self.w1.size
-
-    def to_dict(self) -> dict:
-        return {"w1": self.w1.tolist(), "b1": self.b1.tolist(),
-                "w2": self.w2.tolist(), "b2": self.b2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TwoLayerNet":
-        return cls(d["w1"], d["b1"], d["w2"], d["b2"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "TwoLayerNet":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -134,9 +112,7 @@ def balance(net: TwoLayerNet) -> TwoLayerNet:
     and are zeroed entirely.  The result has net_cost = sum_i |w1_i w2_i|
     of the input, which is never larger than the input cost.
     """
-    w1 = np.array(net.w1)
-    b1 = np.array(net.b1)
-    w2 = np.array(net.w2)
+    w1, b1, w2 = np.array((net.w1, net.b1, net.w2))
     b2 = net.b2
     dead = (w1 == 0.0) != (w2 == 0.0)
     # a unit with w1 = 0 but w2 != 0 contributes the constant w2*[b1]_+
@@ -155,9 +131,7 @@ def balance(net: TwoLayerNet) -> TwoLayerNet:
 def normalize_first_layer(net: TwoLayerNet) -> TwoLayerNet:
     """Rescale each surviving unit so |w1_i| = 1; function unchanged."""
     bal = balance(net)
-    w1 = np.array(bal.w1)
-    b1 = np.array(bal.b1)
-    w2 = np.array(bal.w2)
+    w1, b1, w2 = np.array((bal.w1, bal.b1, bal.w2))
     live = w1 != 0.0
     a = np.abs(w1[live])
     w2[live] *= a

@@ -8,10 +8,11 @@ construction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from ._value import Value, frozen
 
 # Two breakpoints closer than this (relative) are considered coincident.
 BREAKPOINT_MERGE_TOL = 1e-12
@@ -19,24 +20,21 @@ BREAKPOINT_MERGE_TOL = 1e-12
 SLOPE_JUMP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PwlFunction:
+@dataclass(frozen=True, eq=False)
+class PwlFunction(Value):
     """Continuous piecewise-linear function on the real line.
 
     ``slopes[j]`` is the slope on the j-th segment: ``slopes[0]`` on
     ``(-inf, breakpoints[0])`` and ``slopes[-1]`` on ``(breakpoints[-1], inf)``.
     ``anchor = (x_ref, y_ref)`` pins the function value at one abscissa.
-    ``arrays`` holds the breakpoints and slopes as two read-only arrays.
     """
 
-    breakpoints: tuple[float, ...]
-    slopes: tuple[float, ...]
+    breakpoints: np.ndarray
+    slopes: np.ndarray
     anchor: tuple[float, float]
-    arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
-        sl = np.array(self.slopes, dtype=float)
+        bp, sl = frozen(self.breakpoints), frozen(self.slopes)
         anchor = (float(self.anchor[0]), float(self.anchor[1]))
         if bp.ndim != 1 or sl.ndim != 1:
             raise ValueError("breakpoints and slopes must be flat sequences")
@@ -46,66 +44,43 @@ class PwlFunction:
             raise ValueError("breakpoints must be sorted")
         if not np.isfinite(np.concatenate((bp, sl, anchor))).all():
             raise ValueError("non-finite breakpoint, slope or anchor")
-        bp.flags.writeable = sl.flags.writeable = False
-        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
-        object.__setattr__(self, "slopes", tuple(sl.tolist()))
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "slopes", sl)
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "arrays", (bp, sl))
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"breakpoints": list(self.breakpoints),
-                "slopes": list(self.slopes), "anchor": list(self.anchor)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PwlFunction":
-        return cls(tuple(d["breakpoints"]), tuple(d["slopes"]),
-                   (d["anchor"][0], d["anchor"][1]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "PwlFunction":
-        return cls.from_dict(json.loads(s))
 
 
-@dataclass(frozen=True)
-class AtomList1D:
-    """Purely atomic distribution: point masses at strictly increasing locations."""
+@dataclass(frozen=True, eq=False)
+class AtomList1D(Value):
+    """Purely atomic distribution: point masses at strictly increasing
+    locations, one (location, mass) row of ``atoms`` each."""
 
-    atoms: tuple[tuple[float, float], ...]  # (location, mass), masses nonzero
+    atoms: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 2)
+        a = frozen(self.atoms).reshape(len(self.atoms), 2)
+        if not np.isfinite(a).all():
+            raise ValueError("non-finite atom location or mass")
         if np.any(a[1:, 0] <= a[:-1, 0]):
             raise ValueError("atom locations must be strictly increasing")
         if np.any(a[:, 1] == 0.0):
             raise ValueError("atom masses must be nonzero")
-        object.__setattr__(self, "atoms", tuple(map(tuple, a.tolist())))
+        object.__setattr__(self, "atoms", a)
 
     @property
     def locations(self) -> np.ndarray:
-        return np.array([x for x, _ in self.atoms])
+        return self.atoms[:, 0]
 
     @property
     def masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms])
+        return self.atoms[:, 1]
 
     def total_mass(self) -> float:
-        return float(sum(m for _, m in self.atoms))
-
-    def to_dict(self) -> dict:
-        return {"atoms": [[x, m] for x, m in self.atoms]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AtomList1D":
-        return cls(tuple((x, m) for x, m in d["atoms"]))
+        return float(self.masses.sum())
 
 
 def _raw_values(f: PwlFunction, x: np.ndarray) -> np.ndarray:
     """Antiderivative of the slope profile, zero at the first breakpoint."""
-    bp, sl = f.arrays
+    bp, sl = f.breakpoints, f.slopes
     if bp.size == 0:
         return sl[0] * x
     # value at each breakpoint relative to bp[0], which also anchors seg 0
@@ -126,8 +101,8 @@ def pwl_eval(f: PwlFunction, x):
 
 def _jumps(f: PwlFunction) -> tuple[np.ndarray, np.ndarray]:
     """Locations and sizes of the nonzero slope jumps, as arrays."""
-    jumps = np.diff(f.arrays[1])
-    return f.arrays[0][jumps != 0.0], jumps[jumps != 0.0]
+    jumps = np.diff(f.slopes)
+    return f.breakpoints[jumps != 0.0], jumps[jumps != 0.0]
 
 
 def second_derivative_measure(f: PwlFunction) -> AtomList1D:
@@ -137,12 +112,12 @@ def second_derivative_measure(f: PwlFunction) -> AtomList1D:
 
 def tv_fprime(f: PwlFunction) -> float:
     """Total variation of the derivative: sum of absolute slope jumps."""
-    return float(np.abs(np.diff(f.arrays[1])).sum())
+    return float(np.abs(np.diff(f.slopes)).sum())
 
 
 def end_slope_sum(f: PwlFunction) -> float:
     """Sum of the two limiting slopes."""
-    return f.slopes[0] + f.slopes[-1]
+    return float(f.slopes[0] + f.slopes[-1])
 
 
 def add_constant(f: PwlFunction, c: float) -> PwlFunction:
@@ -151,19 +126,19 @@ def add_constant(f: PwlFunction, c: float) -> PwlFunction:
 
 def scale(f: PwlFunction, c: float) -> PwlFunction:
     """Scale function values by c."""
-    return PwlFunction(f.breakpoints, c * f.arrays[1],
+    return PwlFunction(f.breakpoints, c * f.slopes,
                        (f.anchor[0], c * f.anchor[1]))
 
 
 def translate(f: PwlFunction, dx: float) -> PwlFunction:
     """Shift the graph right by dx."""
-    return PwlFunction(f.arrays[0] + dx, f.slopes,
+    return PwlFunction(f.breakpoints + dx, f.slopes,
                        (f.anchor[0] + dx, f.anchor[1]))
 
 
 def reflect(f: PwlFunction) -> PwlFunction:
     """Mirror the graph about the y axis: g(x) = f(-x)."""
-    bp, sl = f.arrays
+    bp, sl = f.breakpoints, f.slopes
     return PwlFunction(-bp[::-1], -sl[::-1], (-f.anchor[0], f.anchor[1]))
 
 
@@ -204,7 +179,7 @@ def canonicalize(f: PwlFunction) -> PwlFunction:
     preserved up to the moved and dropped jumps; applying canonicalize
     twice gives the same object as applying it once.
     """
-    bp, sl = f.arrays
+    bp, sl = f.breakpoints, f.slopes
     joins = np.diff(bp) <= BREAKPOINT_MERGE_TOL * (1.0 + np.abs(bp[1:]))
     bp, jumps = _merge_runs(bp, np.diff(sl), joins)
     keep = np.abs(jumps) >= SLOPE_JUMP_TOL * (1.0 + np.abs(jumps).sum())

@@ -9,12 +9,12 @@ converts measures back to piecewise-linear functions and finite networks.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pwl
+from ._value import Value
 from .net2 import TwoLayerNet
 from .pwl import PwlFunction
 
@@ -30,36 +30,34 @@ class LagrangeCase(enum.Enum):
     POSITIVE = "positive"
 
 
-@dataclass(frozen=True)
-class CostReport:
+@dataclass(frozen=True, eq=False)
+class CostReport(Value):
     tv: float
     end_sum: float
     cost: float
     lagrange_case: LagrangeCase
     upper_bound: float
 
-    def to_dict(self) -> dict:
-        return {"tv": self.tv, "end_sum": self.end_sum, "cost": self.cost,
-                "lagrange_case": self.lagrange_case.value,
-                "upper_bound": self.upper_bound}
+    def __post_init__(self):
+        object.__setattr__(self, "lagrange_case",
+                           LagrangeCase(self.lagrange_case))
 
 
-@dataclass(frozen=True)
-class ThresholdMeasure1D:
+@dataclass(frozen=True, eq=False)
+class ThresholdMeasure1D(Value):
     """Discrete signed measure over {-1,+1} x R in the threshold parametrization.
 
     An atom (w, b, mass) contributes mass * [w(x-b)]_+ to the induced
-    function; c is the output offset.  ``arrays`` holds the signs,
-    thresholds and masses of the sorted atoms as three read-only arrays.
+    function; c is the output offset.  ``atoms`` holds one (w, b, mass) row
+    per atom, sorted by (b, w).
     """
 
-    atoms: tuple[tuple[int, float, float], ...]
+    atoms: np.ndarray
     c: float = 0.0
-    arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 3)
-        w, b, m = a[:, 0], a[:, 1], a[:, 2]
+        w, b, m = a.T
         if np.any(np.abs(w) != 1.0):
             raise ValueError("atom signs must be -1 or +1")
         c = float(self.c)
@@ -67,36 +65,17 @@ class ThresholdMeasure1D:
             raise ValueError("non-finite atom threshold, mass or offset")
         if np.any(m == 0.0):
             raise ValueError("atom masses must be nonzero")
-        order = np.lexsort((w, b))
-        w, b, m = w[order], b[order], m[order]
-        if np.any((b[1:] == b[:-1]) & (w[1:] == w[:-1])):
+        a = a[np.lexsort((w, b))]
+        if np.any((a[1:, :2] == a[:-1, :2]).all(axis=1)):
             raise ValueError("at most one atom per (w, b) pair")
-        w.flags.writeable = b.flags.writeable = m.flags.writeable = False
-        atoms = zip(w.astype(int).tolist(), b.tolist(), m.tolist())
-        object.__setattr__(self, "atoms", tuple(atoms))
+        a.setflags(write=False)
+        object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "arrays", (w, b, m))
-
-    def to_dict(self) -> dict:
-        return {"atoms": [{"w": w, "b": b, "mass": m} for w, b, m in self.atoms],
-                "c": self.c}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThresholdMeasure1D":
-        return cls(tuple((a["w"], a["b"], a["mass"]) for a in d["atoms"]),
-                   d.get("c", 0.0))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "ThresholdMeasure1D":
-        return cls.from_dict(json.loads(s))
 
 
 def measure_norm(alpha: ThresholdMeasure1D) -> float:
     """Total variation norm: sum of absolute atom masses."""
-    return float(sum(abs(m) for _, _, m in alpha.atoms))
+    return float(np.abs(alpha.atoms[:, 2]).sum())
 
 
 def _relu_sum(w, b, m, x: float) -> float:
@@ -107,7 +86,7 @@ def _relu_sum(w, b, m, x: float) -> float:
 def _measure_pwl(alpha: ThresholdMeasure1D) -> PwlFunction:
     """Exact function of the measure, no jump dropped: an atom (w, b, m) adds
     a slope jump m at b, and slope -m on the far left when w = -1."""
-    w, b, m = alpha.arrays
+    w, b, m = alpha.atoms.T
     anchor = (0.0, alpha.c + _relu_sum(w, b, m, 0.0))
     return pwl._sum_jumps((-m[w == -1]).sum(), b, m, anchor)
 
@@ -123,7 +102,7 @@ def representation_cost(f: PwlFunction) -> CostReport:
     s = pwl.end_slope_sum(f)
     case = (LagrangeCase.NEGATIVE if s > tv else
             LagrangeCase.POSITIVE if s < -tv else LagrangeCase.ZERO)
-    upper = tv + 2.0 * float(np.abs(f.arrays[1]).min())
+    upper = tv + 2.0 * float(np.abs(f.slopes).min())
     return CostReport(tv, s, max(tv, abs(s)), case, upper)
 
 
@@ -168,7 +147,7 @@ def measure_to_pwl(alpha: ThresholdMeasure1D) -> PwlFunction:
 
 def measure_to_net(alpha: ThresholdMeasure1D) -> TwoLayerNet:
     """One balanced unit per atom; C(theta) equals the measure norm exactly."""
-    w, b, m = alpha.arrays
+    w, b, m = alpha.atoms.T
     r = np.sqrt(np.abs(m))
     return TwoLayerNet(w * r, -w * r * b, np.sign(m) * r, alpha.c)
 

@@ -10,7 +10,6 @@ box-constrained dual for squared loss), and it returns its duality gap.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,16 +18,21 @@ from itertools import chain
 import numpy as np
 
 from . import repcost
+from ._value import Value
 from .pwl import PwlFunction
 
 
-class Dataset:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class Dataset(Value):
     """Finite sample of (x, y) pairs with distinct x, sorted by x; immutable.
 
     The read-only arrays ``xs`` and ``ys`` are the storage; ``points`` is the
     same sample as a tuple of (x, y) float pairs, built on first use.  Two
     datasets are equal, and hash alike, when their points are.
     """
+
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __init__(self, points):
         """Sort the pairs by (x, y) and merge repeated x.
@@ -59,21 +63,9 @@ class Dataset:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Dataset is immutable: cannot set {name!r}")
-
     @cached_property
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.xs.tolist(), self.ys.tolist()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (np.array_equal(self.xs, other.xs)
-                and np.array_equal(self.ys, other.ys))
-
-    def __hash__(self):
-        return hash(self.points)
 
     def __repr__(self):
         return f"Dataset(points={self.points!r})"
@@ -84,17 +76,6 @@ class Dataset:
 
     def to_dict(self) -> dict:
         return {"points": np.column_stack((self.xs, self.ys)).tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dataset":
-        return cls(d["points"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Dataset":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

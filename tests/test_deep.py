@@ -152,8 +152,10 @@ class TestBatchedKernel:
     def test_stacks_and_views_are_read_only(self):
         rng = np.random.default_rng(66)
         raw = random_net(rng, 4, 3, 5, 2).to_dict()["subnets"]
-        net = ParallelDeepNet(tuple(tuple(map(np.array, s)) for s in raw),
-                              rng.standard_normal(5))
+        top = rng.standard_normal(5)
+        net = ParallelDeepNet(tuple(tuple(map(np.array, s)) for s in raw), top)
+        # the net keeps a frozen copy; the caller's array stays writable
+        assert top.flags.writeable and not net.top.flags.writeable
         for i, mats in enumerate(raw):
             for j, w in enumerate(mats):
                 assert np.array_equal(net.layers[j][i], w)

@@ -44,6 +44,28 @@ class TestAtomMeasure:
         with pytest.raises(ValueError):
             AtomMeasureDD((((1.0,), 0.0, 1.0),), 0.0, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["direction", "bias", "mass", "offset"])
+    def test_rejects_non_finite(self, field, bad):
+        w, b, m, c = [0.6, 0.8], 0.5, 1.0, 0.0
+        if field == "direction":
+            w[1] = bad
+        elif field == "bias":
+            b = bad
+        elif field == "mass":
+            m = bad
+        else:
+            c = bad
+        with pytest.raises(ValueError,
+                           match="non-finite atom direction, bias, mass"):
+            AtomMeasureDD(((tuple(w), b, m),), c, 2)
+
+    def test_columns_are_views_of_the_atoms(self):
+        a = random_measure(np.random.default_rng(60), 3, 4)
+        assert a.atoms.shape == (4, 5)
+        for column in (a.directions(), a.biases(), a.masses()):
+            assert np.shares_memory(column, a.atoms)
+
     def test_single_atom_eval(self):
         a = AtomMeasureDD((((1.0, 0.0), 0.0, 2.0),), 0.0, 2)
         assert eval_dd(a, np.array([3.0, 0.0])) == pytest.approx(6.0)
@@ -120,12 +142,6 @@ class TestFluxEstimate:
         assert abs(est.value - signed) < 0.05 * (1 + abs(signed))
         if absolute - abs(signed) > 0.5:
             assert abs(est.value - absolute) > 0.1
-
-    def test_callable_gradient_source(self):
-        est = laplacian_flux_estimate(lambda x: x, 5.0, 1000, seed=3, d=3)
-        # grad f = x gives flux integrand r on the sphere
-        expected = sphere_area(3) * 5.0 / ball_volume(2)
-        assert est.value == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_tiny_sample_count(self):
         a = AtomMeasureDD((), 0.0, 2)

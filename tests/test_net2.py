@@ -103,13 +103,13 @@ class TestBalance:
 class TestToPwl:
     def test_single_unit(self):
         f = to_pwl(TwoLayerNet([2.0], [-2.0], [1.0], 0.0))
-        assert f.breakpoints == (1.0,)
-        assert f.slopes == (0.0, 2.0)
+        assert f.breakpoints.tolist() == [1.0]
+        assert f.slopes.tolist() == [0.0, 2.0]
 
     def test_cancelling_pair_is_zero(self):
         f = to_pwl(TwoLayerNet([1.0, 1.0], [0.0, 0.0], [1.0, -1.0], 0.0))
-        assert f.breakpoints == ()
-        assert f.slopes == (0.0,)
+        assert f.breakpoints.tolist() == []
+        assert f.slopes.tolist() == [0.0]
 
     def test_matches_eval_on_grid(self):
         rng = np.random.default_rng(34)
@@ -122,17 +122,17 @@ class TestToPwl:
     def test_constant_unit_folds_into_anchor(self):
         net = TwoLayerNet([0.0], [2.0], [3.0], 1.0)
         f = to_pwl(net)
-        assert f.breakpoints == ()
+        assert f.breakpoints.tolist() == []
         assert pwl.pwl_eval(f, 0.0) == pytest.approx(7.0)
 
 
 class TestExtractU:
     def test_single_unit(self):
         atoms = extract_u(TwoLayerNet([2.0], [-2.0], [1.0], 0.0))
-        assert atoms.atoms == ((1.0, 2.0),)
+        assert atoms.atoms.tolist() == [[1.0, 2.0]]
 
     def test_zero_net(self):
-        assert extract_u(TwoLayerNet([], [], [], 0.0)).atoms == ()
+        assert extract_u(TwoLayerNet([], [], [], 0.0)).atoms.tolist() == []
 
     def test_equals_second_derivative_of_pwl(self):
         rng = np.random.default_rng(35)

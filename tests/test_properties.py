@@ -5,6 +5,7 @@ Hypothesis draws the sizes, scales, tie patterns and a seed; numpy draws
 the arrays from that seed, so large instances stay cheap to generate.
 """
 
+import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 
 from reluspline import pwl, repcost
-from reluspline.net2 import TwoLayerNet, net_cost, net_eval, to_pwl
+from reluspline.deep import ParallelDeepNet, SphereFactoredNet, align_to_sphere
+from reluspline.highdim import AtomMeasureDD
+from reluspline.net2 import (TwoLayerNet, extract_u, net_cost, net_eval,
+                             to_pwl)
 from reluspline.pwl import AtomList1D, PwlFunction
-from reluspline.repcost import ThresholdMeasure1D
+from reluspline.repcost import CostReport, LagrangeCase, ThresholdMeasure1D
 from reluspline.spline import Dataset
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -110,13 +114,13 @@ class TestFromJumps:
         atoms = np.column_stack((locs, jumps))
         f = pwl.from_jumps(0.7, atoms, (0.5, -1.0))
         g = pwl.from_jumps(0.7, atoms[rng.permutation(k)].tolist(), (0.5, -1.0))
-        assert g.breakpoints == f.breakpoints
+        assert np.array_equal(g.breakpoints, f.breakpoints)
         assert g.anchor == f.anchor
         if np.unique(locs).size == k:
             # unique locations: nothing is summed, so bit for bit the same
-            assert g.slopes == f.slopes
+            assert np.array_equal(g.slopes, f.slopes)
         else:
-            assert close(np.array(g.slopes), np.array(f.slopes), 1e-13)
+            assert close(g.slopes, f.slopes, 1e-13)
 
 
 class TestCanonicalize:
@@ -220,7 +224,7 @@ class TestInvalidInputs:
     @SETTINGS
     @given(measures(max_atoms=200), st.integers(0, 10**6))
     def test_duplicate_atom(self, alpha, i):
-        if not alpha.atoms:
+        if not len(alpha.atoms):
             return
         atoms = list(alpha.atoms)
         w, b, _ = atoms[i % len(atoms)]
@@ -269,6 +273,15 @@ class TestInvalidInputs:
     def test_atom_locations_must_increase(self):
         with raises("atom locations must be strictly increasing"):
             AtomList1D(((0.0, 1.0), (2.0, 1.0), (2.0, -1.0)))
+
+    @SETTINGS
+    @given(st.lists(finite, min_size=1, max_size=200, unique=True), non_finite,
+           st.integers(0, 10**6), st.sampled_from(["location", "mass"]))
+    def test_non_finite_list_atom(self, locs, bad, i, field):
+        atoms = [[x, 1.0] for x in sorted(locs)]
+        atoms[i % len(atoms)][0 if field == "location" else 1] = bad
+        with raises("non-finite atom location or mass"):
+            AtomList1D(atoms)
 
 
 def reference_dataset(points):
@@ -330,3 +343,109 @@ class TestDataset:
                 [x for x, _ in want], [y for _, y in want])
             assert d == Dataset(want) and hash(d) == hash(Dataset(want))
             assert d.to_dict() == {"points": [list(p) for p in want]}
+
+
+@st.composite
+def deep_nets(draw):
+    """A parallel net of depth 2 to 4 with up to 6 chains and inputs of
+    dimension 1 to 3."""
+    rng = np.random.default_rng(draw(seeds))
+    L, m, k, d = (draw(st.integers(lo, hi))
+                  for lo, hi in ((2, 4), (1, 3), (1, 6), (1, 3)))
+    shapes = [(1, d)] if L == 2 else [(m, d)] + [(m, m)] * (L - 3) + [(1, m)]
+    subnets = tuple(tuple(rng.standard_normal(s) for s in shapes)
+                    for _ in range(k))
+    return ParallelDeepNet(subnets, rng.standard_normal(k))
+
+
+@st.composite
+def dd_measures(draw):
+    """Up to 20 atoms with unit directions in 2 to 5 dimensions."""
+    rng = np.random.default_rng(draw(seeds))
+    d, k = draw(st.integers(2, 5)), draw(st.integers(0, 20))
+    w = rng.standard_normal((k, d))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    atoms = zip(map(tuple, w), rng.uniform(-1, 1, k), rng.standard_normal(k))
+    return AtomMeasureDD(tuple(atoms), float(rng.standard_normal()), d)
+
+
+# every value type of the package, drawn at random
+values = st.one_of(
+    nets(), measures(), nets().map(to_pwl), nets().map(extract_u),
+    nets().map(lambda net: repcost.representation_cost(to_pwl(net))),
+    deep_nets(), deep_nets().map(align_to_sphere), dd_measures(),
+    st.lists(st.tuples(finite, finite), max_size=50,
+             unique_by=lambda p: p[0]).map(Dataset))
+
+# one of each type, holding 0.0 in arrays and in scalars
+SIGNED_ZERO_CASES = [
+    PwlFunction((0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0)),
+    AtomList1D(((0.0, 1.0), (1.0, -2.0))),
+    ThresholdMeasure1D(((1, 0.0, 1.0), (-1, 0.0, 2.0)), 0.0),
+    CostReport(0.0, 0.0, 0.0, LagrangeCase.ZERO, 0.0),
+    TwoLayerNet([0.0, 1.0], [0.0, 0.0], [1.0, 0.0], 0.0),
+    ParallelDeepNet(((np.array([[0.0, 1.0]]),),), [0.0]),
+    SphereFactoredNet(((np.array([[0.0, 1.0]]),),), [0.0]),
+    AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, 2),
+    Dataset(((0.0, 0.0), (1.0, 0.0))),
+]
+
+
+def negate_zeros(v):
+    """A dict/list tree with every float 0.0 replaced by -0.0."""
+    if isinstance(v, dict):
+        return {key: negate_zeros(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [negate_zeros(x) for x in v]
+    return -0.0 if isinstance(v, float) and v == 0.0 else v
+
+
+def stored_arrays(x):
+    """Every array a value stores, in its fields or in tuples of them."""
+    stack = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, tuple):
+            stack.extend(v)
+
+
+class TestValueSemantics:
+    @SETTINGS
+    @given(values)
+    def test_json_round_trip_is_equal_and_hashes_alike(self, x):
+        y = type(x).from_json(x.to_json())
+        assert y == x and hash(y) == hash(x)
+        assert y.to_json() == x.to_json()
+
+    @SETTINGS
+    @given(values)
+    def test_stored_arrays_are_read_only(self, x):
+        for a in stored_arrays(x):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 1.0
+
+    @pytest.mark.parametrize("x", SIGNED_ZERO_CASES,
+                             ids=lambda x: type(x).__name__)
+    def test_signed_zeros_compare_and_hash_alike(self, x):
+        y = type(x).from_dict(negate_zeros(x.to_dict()))
+        assert "-0.0" in y.to_json() and "-0.0" not in x.to_json()
+        assert y == x and hash(y) == hash(x) and len({x, y}) == 1
+
+    def test_unequal_values(self):
+        f = pwl.absval()
+        assert f != pwl.add_constant(f, 1.0) and f != pwl.scale(f, 2.0)
+        net = TwoLayerNet([1.0], [0.0], [1.0], 0.0)
+        assert net != TwoLayerNet([1.0], [0.0], [1.0], 0.5)
+        assert net != TwoLayerNet([1.0, 0.0], [0.0, 0.0], [1.0, 0.0], 0.0)
+        deep = SIGNED_ZERO_CASES[5]
+        assert deep != SIGNED_ZERO_CASES[6] and deep != deep.to_dict()
+
+    def test_measure_schemas(self):
+        alpha = ThresholdMeasure1D(((1, 0.5, 2.0), (-1, -1.0, 3.0)), 0.25)
+        assert alpha.to_dict() == {"atoms": [[-1.0, -1.0, 3.0],
+                                             [1.0, 0.5, 2.0]], "c": 0.25}
+        beta = AtomMeasureDD((((0.6, 0.8), 0.5, 2.0),), 1.0, 2)
+        assert beta.to_dict() == {"atoms": [[0.6, 0.8, 0.5, 2.0]],
+                                  "c": 1.0, "d": 2}

@@ -86,7 +86,7 @@ class TestDerivedQuantities:
     def test_second_derivative_measure(self):
         f = PwlFunction((0.0, 1.0), (0.0, 2.0, 2.0), (0.0, 0.0))
         atoms = pwl.second_derivative_measure(f)
-        assert atoms.atoms == ((0.0, 2.0),)
+        assert atoms.atoms.tolist() == [[0.0, 2.0]]
 
     def test_total_mass_is_slope_difference(self):
         rng = np.random.default_rng(1)
@@ -136,10 +136,7 @@ class TestTransforms:
     @settings(max_examples=60, deadline=None)
     @given(pwl_functions())
     def test_reflect_involution(self, f):
-        g = pwl.reflect(pwl.reflect(f))
-        assert g.breakpoints == f.breakpoints
-        assert g.slopes == f.slopes
-        assert g.anchor == f.anchor
+        assert pwl.reflect(pwl.reflect(f)) == f
 
 
 class TestJumpReconstruction:
@@ -154,26 +151,26 @@ class TestJumpReconstruction:
 
     def test_coincident_jumps_merge(self):
         f = pwl.from_jumps(0.0, [(1.0, 2.0), (1.0, 3.0)], (0.0, 0.0))
-        assert f.breakpoints == (1.0,)
-        assert f.slopes == (0.0, 5.0)
+        assert f.breakpoints.tolist() == [1.0]
+        assert f.slopes.tolist() == [0.0, 5.0]
 
     def test_cancelling_jumps_vanish(self):
         f = pwl.from_jumps(1.0, [(0.0, 2.0), (0.0, -2.0)], (0.0, 0.0))
-        assert f.breakpoints == ()
-        assert f.slopes == (1.0,)
+        assert f.breakpoints.tolist() == []
+        assert f.slopes.tolist() == [1.0]
 
 
 class TestCanonicalize:
     def test_drops_tiny_jumps(self):
         f = PwlFunction((0.0,), (0.0, 1e-15), (0.0, 0.0))
         g = pwl.canonicalize(f)
-        assert g.breakpoints == ()
+        assert g.breakpoints.tolist() == []
 
     def test_merges_close_breakpoints(self):
         f = PwlFunction((1.0, 1.0 + 1e-14), (0.0, 1.0, 2.0), (0.0, 0.0))
         g = pwl.canonicalize(f)
         assert len(g.breakpoints) == 1
-        assert g.slopes == (0.0, 2.0)
+        assert g.slopes.tolist() == [0.0, 2.0]
 
     def test_chain_of_close_breakpoints_merges(self):
         # gaps of 0.6 tol link up although the chain spans 2.4 tol: merging
@@ -183,11 +180,9 @@ class TestCanonicalize:
         f = PwlFunction(bp, (0.5, 1.0, -1.0, 2.0, 0.5, -3.0, 2.0, 0.0),
                         (0.3, -0.2))
         g = pwl.canonicalize(f)
-        assert g.breakpoints == (-1.0, 0.0, 1.0)
-        assert g.slopes == (0.5, 1.0, 2.0, 0.0)
-        h = pwl.canonicalize(g)
-        assert (h.breakpoints, h.slopes, h.anchor) == \
-            (g.breakpoints, g.slopes, g.anchor)
+        assert g.breakpoints.tolist() == [-1.0, 0.0, 1.0]
+        assert g.slopes.tolist() == [0.5, 1.0, 2.0, 0.0]
+        assert pwl.canonicalize(g) == g
         xs = np.linspace(-3, 3, 601)
         assert np.abs(pwl.pwl_eval(f, xs) - pwl.pwl_eval(g, xs)).max() < 1e-9
 
@@ -197,8 +192,8 @@ class TestCanonicalize:
             f = random_pwl(rng)
             g = pwl.canonicalize(f)
             h = pwl.canonicalize(g)
-            assert g.breakpoints == h.breakpoints
-            assert g.slopes == h.slopes
+            assert np.array_equal(g.breakpoints, h.breakpoints)
+            assert np.array_equal(g.slopes, h.slopes)
 
     def test_preserves_values(self):
         rng = np.random.default_rng(4)
@@ -213,11 +208,8 @@ class TestSerialization:
     @settings(max_examples=40, deadline=None)
     @given(pwl_functions())
     def test_json_round_trip(self, f):
-        g = PwlFunction.from_json(f.to_json())
-        assert g.breakpoints == f.breakpoints
-        assert g.slopes == f.slopes
-        assert g.anchor == f.anchor
+        assert PwlFunction.from_json(f.to_json()) == f
 
     def test_atom_dict_round_trip(self):
         a = AtomList1D(((0.0, 1.5), (2.0, -0.5)))
-        assert AtomList1D.from_dict(a.to_dict()).atoms == a.atoms
+        assert np.array_equal(AtomList1D.from_dict(a.to_dict()).atoms, a.atoms)

@@ -109,7 +109,7 @@ class TestThresholdMeasure:
     def test_json_round_trip(self):
         a = ThresholdMeasure1D(((1, 0.5, 2.0), (-1, 1.0, -1.0)), 3.0)
         b = ThresholdMeasure1D.from_json(a.to_json())
-        assert b.atoms == a.atoms and b.c == a.c
+        assert np.array_equal(b.atoms, a.atoms) and b.c == a.c
 
     def test_eval_single_atom(self):
         a = ThresholdMeasure1D(((-1, 1.0, 2.0),), 1.0)
@@ -120,17 +120,17 @@ class TestThresholdMeasure:
 class TestOptimalAlpha:
     def test_relu_atoms(self):
         a = repcost.optimal_alpha(pwl.relu())
-        assert a.atoms == ((1, 0.0, 1.0),)
+        assert a.atoms.tolist() == [[1, 0.0, 1.0]]
         assert a.c == 0.0
 
     def test_line_atoms(self):
         a = repcost.optimal_alpha(pwl.linear(3.0))
-        assert a.atoms == ((-1, 0.0, -3.0), (1, 0.0, 3.0))
+        assert a.atoms.tolist() == [[-1, 0.0, -3.0], [1, 0.0, 3.0]]
         assert repcost.measure_norm(a) == pytest.approx(6.0)
 
     def test_absval_atoms(self):
         a = repcost.optimal_alpha(pwl.absval())
-        assert a.atoms == ((-1, 0.0, 1.0), (1, 0.0, 1.0))
+        assert a.atoms.tolist() == [[-1, 0.0, 1.0], [1, 0.0, 1.0]]
         assert repcost.measure_norm(a) == pytest.approx(2.0)
 
     def test_norm_attains_cost(self):
