@@ -13,11 +13,10 @@ from .deep import (AlignmentReport, ParallelDeepNet, SphereFactoredNet,
                    from_alpha, improving_direction, parallel_eval,
                    sparsify_support)
 from .highdim import (AtomMeasureDD, FluxEstimate, ball_volume, bump_eval,
-                      bump_tail_closed_form, eval_dd, grad_dd,
-                      hessian_decay_estimate, laplacian_flux_estimate,
-                      sphere_area)
-from .net2 import (DivergenceError, NetGrad, TrainConfig, TrainResult,
-                   TwoLayerNet, balance, extract_u, net_cost, net_eval,
+                      eval_dd, grad_dd, hessian_decay_estimate,
+                      laplacian_flux_estimate, sphere_area)
+from .net2 import (DivergenceError, TrainConfig, TrainResult, TwoLayerNet,
+                   balance, extract_u, net_cost, net_eval,
                    normalize_first_layer, objective_and_grad, to_pwl, train)
 from .net2 import init as net_init
 from .pwl import (AtomList1D, PwlFunction, add_constant, canonicalize,

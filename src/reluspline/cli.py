@@ -29,16 +29,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class ValidationFailure(Exception):
+class ValidationFailure(ValueError):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _load(cls, path: str, what: str):
+    """``cls.from_dict`` of the JSON file at ``path``; ``what`` names the
+    file kind in the error message."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        return cls.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"invalid {what} file: {exc}") from exc
 
 
 def _emit(payload, path: str | None):
@@ -71,23 +77,13 @@ def _write_csv(path: str, header, table, numbered: bool = False):
 
 
 def _cmd_repcost(args):
-    try:
-        f = PwlFunction.from_dict(_load_json(args.pwl))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"invalid piecewise-linear file: {exc}")
+    f = _load(PwlFunction, args.pwl, "piecewise-linear")
     _emit(repcost.representation_cost(f).to_dict(), args.output)
     return 0
 
 
-def _load_dataset(path: str) -> spline.Dataset:
-    try:
-        return spline.Dataset.from_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"invalid dataset file: {exc}")
-
-
 def _cmd_interp(args):
-    d = _load_dataset(args.dataset)
+    d = _load(spline.Dataset, args.dataset, "dataset")
     res = spline.min_norm_interpolant(d)
     payload = {
         "spline": res.spline.to_dict(),
@@ -109,7 +105,7 @@ def _cmd_interp(args):
 
 
 def _cmd_train2(args):
-    d = _load_dataset(args.dataset)
+    d = _load(spline.Dataset, args.dataset, "dataset")
     cfg = net2.TrainConfig(lam=args.lam, learning_rate=args.lr,
                            max_steps=args.steps, seed=args.seed,
                            init_scale=args.init_scale)
@@ -147,10 +143,7 @@ def _cmd_train2(args):
 
 
 def _cmd_extract(args):
-    try:
-        net = net2.TwoLayerNet.from_dict(_load_json(args.net))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"invalid net file: {exc}")
+    net = _load(net2.TwoLayerNet, args.net, "net")
     _emit(net2.extract_u(net).to_dict(), args.output)
     return 0
 
@@ -172,10 +165,7 @@ def _random_deep_net(L, m, k, seed, d=1):
 
 def _cmd_depth(args):
     if args.net:
-        try:
-            net = deep.ParallelDeepNet.from_dict(_load_json(args.net))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationFailure(f"invalid deep-net file: {exc}")
+        net = _load(deep.ParallelDeepNet, args.net, "deep-net")
     elif args.random:
         L, m, k, seed = args.random
         if L < 2 or m < 1 or k < 1:
@@ -201,8 +191,6 @@ def _cmd_depth(args):
 
 def _cmd_highdim(args):
     radii = [float(r) for r in args.r_sweep.split(",")]
-    if not radii:
-        raise ValidationFailure("empty radius sweep")
     seeds = np.random.SeedSequence(args.seed).spawn(len(radii))
     rows = []
     if args.claim == "laplacian":
@@ -285,9 +273,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

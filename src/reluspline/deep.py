@@ -72,25 +72,8 @@ def _chain_values(layers, X) -> np.ndarray:
     return z[:, 0, :].T
 
 
-class _Chains:
-    """Shape queries shared by the two net types, read off the layer stacks."""
-
-    @property
-    def k(self) -> int:
-        return len(self.subnets)
-
-    @property
-    def depth(self) -> int:
-        """Number of weight layers L, counting the top coefficients."""
-        return len(self.layers) + 1 if self.layers else 2
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].shape[2] if self.layers else 0
-
-
 @dataclass(frozen=True, eq=False)
-class ParallelDeepNet(_Chains, Value):
+class ParallelDeepNet(Value):
     """k parallel chains of L-1 bias-free matrices plus top coefficients.
 
     ``subnets[i][j]`` is a read-only view of the stacked ``layers[j][i]``.
@@ -111,25 +94,32 @@ class ParallelDeepNet(_Chains, Value):
         object.__setattr__(self, "subnets", tuple(zip(*layers)))
         object.__setattr__(self, "top", top)
 
+    @property
+    def k(self) -> int:
+        return len(self.subnets)
+
+    @property
+    def depth(self) -> int:
+        """Number of weight layers L, counting the top coefficients."""
+        return len(self.layers) + 1 if self.layers else 2
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].shape[2] if self.layers else 0
+
 
 @dataclass(frozen=True, eq=False)
-class SphereFactoredNet(_Chains, Value):
-    """Parallel net with every matrix on the Frobenius unit sphere."""
-
-    subnets: tuple[tuple[np.ndarray, ...], ...]
-    alpha: np.ndarray
-    layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
+class SphereFactoredNet(ParallelDeepNet):
+    """Parallel net with every matrix on the Frobenius unit sphere; its top
+    coefficients are the alpha of the bridge penalty."""
 
     def __post_init__(self):
-        base = ParallelDeepNet(self.subnets, self.alpha)
-        for w in base.layers:
+        super().__post_init__()
+        for w in self.layers:
             if np.any(abs(_norms(w) - 1.0) > _UNIT_TOL):
                 raise ValueError("subnet matrices must have unit Frobenius norm")
-        object.__setattr__(self, "layers", base.layers)
-        object.__setattr__(self, "subnets", base.subnets)
-        object.__setattr__(self, "alpha", base.top)
 
-    top = property(lambda self: self.alpha, doc="Alias of alpha.")
+    alpha = property(lambda self: self.top, doc="Alias of top.")
 
 
 def parallel_eval(net, x) -> float:

@@ -20,6 +20,9 @@ _UNIT_TOL = 1e-12
 # 5 atoms) stay small enough to be reused from the heap; batches many times
 # larger are mapped afresh and page-fault on every batch.
 _FLUX_BATCH = 4096
+# Finite-difference step of the Hessian estimate.  Float cancellation in the
+# second difference grows like eps / h^2, so it must not be much smaller.
+_FD_STEP = 1e-2
 
 
 def ball_volume(m: int) -> float:
@@ -158,8 +161,8 @@ def bump_eval(x, d: int | None = None) -> float:
 
     ``x`` is a d-vector, or a radius when ``d`` is given.  The value is
     exact: with r = |x|, h(r) = A_d - 2r * area(S^{d-2}) / (d-1) for r <= 1,
-    and for r > 1 the incomplete-beta form of ``bump_tail_closed_form``,
-    which decays like area(S^{d-2}) / r.
+    and for r > 1 the incomplete-beta form of ``_bump_radial``, which
+    decays like area(S^{d-2}) / r.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -173,16 +176,6 @@ def bump_eval(x, d: int | None = None) -> float:
         raise ValueError("dimension must be at least 2")
     if not np.isfinite(r):
         raise ValueError("bump argument must be finite")
-    return float(_bump_radial(r, d))
-
-
-def bump_tail_closed_form(r: float, d: int) -> float:
-    """Exact bump value for radius greater than 1 (see ``_bump_radial``).
-
-    Leading behavior is area(S^{d-2}) / r.
-    """
-    if not 1 < r < np.inf:
-        raise ValueError("closed form needs a finite radius greater than 1")
     return float(_bump_radial(r, d))
 
 
@@ -212,8 +205,7 @@ def _fd_hessian_norms(radial, points: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt((diag ** 2).sum(axis=1) + 2.0 * (cross ** 2).sum(axis=1))
 
 
-def hessian_decay_estimate(d: int, r: float, n_samples: int,
-                           fd_step: float = 1e-2, seed: int = 0,
+def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
                            radial_fn=None) -> float:
     """Monte-Carlo estimate of (1/r^(d-1)) * integral of |Hessian|_F over the r-ball.
 
@@ -228,14 +220,12 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int,
     uniformly instead leaves the thin shells near the origin and the unit
     sphere, where the bump's Hessian is largest, to rare draws.
     """
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
     if not 2 < r < np.inf:
         raise ValueError("radius must exceed 2 and be finite")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    # Float cancellation in the second difference grows like eps / h^2.
-    if not 1e-3 <= fd_step < np.inf:
-        raise ValueError("fd_step must be finite and at least 1e-3; below "
-                         "that, cancellation in the second difference grows")
     if radial_fn is None:
         def radial_fn(radii):
             return _bump_radial(radii, d)
@@ -243,7 +233,7 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int,
     u = _sphere_samples(rng, n_samples, d)
     radii = r * (np.arange(n_samples) + rng.random(n_samples)) / n_samples
     points = u * radii[:, None]
-    norms = _fd_hessian_norms(radial_fn, points, fd_step)
+    norms = _fd_hessian_norms(radial_fn, points, _FD_STEP)
     # (1/r^(d-1)) * V_d r^d * weighted mean = V_d * r * weighted mean
     return float(ball_volume(d) * r
                  * np.average(norms, weights=radii ** (d - 1)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -60,34 +61,27 @@ class TrainConfig:
             raise ValueError("lam must be nonnegative and finite")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
+        if not (isinstance(self.max_steps, Integral) and self.max_steps >= 0):
+            raise ValueError("max_steps must be a nonnegative integer")
         if not 0 <= self.init_scale < np.inf:
             raise ValueError("init_scale must be nonnegative and finite")
         if not 0 <= self.stop_grad_norm < np.inf:
             raise ValueError("stop_grad_norm must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
-class NetGrad:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.w1 ** 2) + np.sum(self.b1 ** 2)
-                             + np.sum(self.w2 ** 2) + self.b2 ** 2))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainResult:
+    """A training run; it holds a writable array, so ``==`` is identity."""
+
     net: TwoLayerNet
     # columns: objective, loss, cost; one row per completed step
     trace: np.ndarray = field(repr=False)
-    steps: int = 0
     # "max_steps", "grad_norm" (stop_grad_norm reached) or "zero_steps"
     stop_reason: str = "max_steps"
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
 
 
 def net_eval(net: TwoLayerNet, x):
@@ -159,14 +153,14 @@ def objective_and_grad(net: TwoLayerNet, dataset, lam: float):
     """Squared-loss objective sum_n (h(x_n)-y_n)^2 + lam*C(theta) and its gradient.
 
     The ReLU derivative at the kink is taken to be 0.  The lam term excludes
-    the biases.  Both come from one training step at learning rate 1.
+    the biases.  Both come from one training step at learning rate 1; the
+    gradient is returned as a TwoLayerNet of the same shape.
     """
     k = net.k
     trace, _, g, _ = _descend(_pack(net), k, dataset.xs, dataset.ys, lam,
                               1.0, 1, 0.0)
     g[k:3 * k] += lam * np.concatenate([net.w1, net.w2])
-    return float(trace[0, 0]), NetGrad(g[k:2 * k], g[:k], g[2 * k:3 * k],
-                                       float(g[3 * k]))
+    return float(trace[0, 0]), _unpack(g, k)
 
 
 def init(k: int, cfg: TrainConfig) -> TwoLayerNet:
@@ -183,6 +177,11 @@ def _pack(net: TwoLayerNet) -> np.ndarray:
     return np.concatenate([net.b1, net.w1, net.w2, [net.b2, -1.0]])
 
 
+def _unpack(theta, k: int) -> TwoLayerNet:
+    return TwoLayerNet(theta[k:2 * k], theta[:k], theta[2 * k:3 * k],
+                       theta[3 * k])
+
+
 def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
     """Plain full-batch gradient descent with constant step size.
 
@@ -194,12 +193,10 @@ def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
     trace, done, _, reason = _descend(
         theta, k, dataset.xs, dataset.ys, cfg.lam, cfg.learning_rate,
         cfg.max_steps, cfg.stop_grad_norm)
-    net = TwoLayerNet(theta[k:2 * k], theta[:k], theta[2 * k:3 * k],
-                      theta[3 * k])
     if done < cfg.max_steps:
         # a copy, so an early stop does not keep the max_steps buffer alive
         trace = trace[:done].copy()
-    return TrainResult(net, trace, done, reason)
+    return TrainResult(_unpack(theta, k), trace, reason)
 
 
 def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -162,13 +163,19 @@ def discretize_smooth(fpp, support, n_atoms: int, end_slope_left: float,
     max(int |f''|, |2*end_slope_left + int f''|) as n_atoms grows.
     """
     a, b = float(support[0]), float(support[1])
+    if not np.isfinite([a, b]).all():
+        raise ValueError(f"support bounds must be finite, got [{a}, {b}]")
     if a >= b:
         raise ValueError(f"invalid support [{a}, {b}]")
+    if not isinstance(n_atoms, Integral):
+        raise ValueError("n_atoms must be an integer")
     if n_atoms < 2:
         raise ValueError("n_atoms must be at least 2")
     db = (b - a) / n_atoms
     locs = a + (np.arange(n_atoms) + 0.5) * db
     masses = np.array([fpp(x) for x in locs], dtype=float) * db
+    if not np.isfinite(masses).all():
+        raise ValueError("fpp must be finite on the support")
     keep = masses != 0.0
     locs, masses = locs[keep], masses[keep]
     end_sum = 2.0 * end_slope_left + masses.sum()

@@ -21,6 +21,10 @@ from . import repcost
 from ._value import Value
 from .pwl import PwlFunction
 
+# Grid points per axis and number of zooms of grid_oracle_end_slopes.
+_ORACLE_GRID = 41
+_ORACLE_ZOOMS = 14
+
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class Dataset(Value):
@@ -82,9 +86,13 @@ class Dataset(Value):
 class InterpolationResult:
     spline: PwlFunction
     cost: float
-    end_slopes: tuple[float, float]
     # relative duality gap of a regularized fit; interpolation is exact
     gap: float = 0.0
+
+    @property
+    def end_slopes(self) -> tuple[float, float]:
+        """The spline's slopes on its two unbounded end segments."""
+        return float(self.spline.slopes[0]), float(self.spline.slopes[-1])
 
 
 def interior_slopes(d: Dataset) -> np.ndarray:
@@ -123,8 +131,7 @@ def end_slope_objective(interior, l0: float, ln: float) -> float:
     return max(float(np.abs(np.diff(l)).sum()), abs(l0 + ln))
 
 
-def grid_oracle_end_slopes(interior, grid: int = 41,
-                           rounds: int = 14) -> tuple[float, float, float]:
+def grid_oracle_end_slopes(interior) -> tuple[float, float, float]:
     """Brute-force minimizer of the end-slope objective by iterative grid zoom.
 
     Slow but assumption-free; accurate to well below 1e-9 in the optimal
@@ -136,9 +143,9 @@ def grid_oracle_end_slopes(interior, grid: int = 41,
     cx, cy = float(l[0]), float(l[-1])
     w = 4.0 * (1.0 + abs(cx) + abs(cy) + t_int)
     best = (cx, cy, end_slope_objective(interior, cx, cy))
-    for _ in range(rounds):
-        xs = cx + np.linspace(-w, w, grid)
-        ys = cy + np.linspace(-w, w, grid)
+    for _ in range(_ORACLE_ZOOMS):
+        xs = cx + np.linspace(-w, w, _ORACLE_GRID)
+        ys = cy + np.linspace(-w, w, _ORACLE_GRID)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         jump0 = np.abs(gx - l[0])
         jumpn = np.abs(gy - l[-1])
@@ -147,7 +154,7 @@ def grid_oracle_end_slopes(interior, grid: int = 41,
         if vals[i, j] < best[2]:
             best = (float(xs[i]), float(ys[j]), float(vals[i, j]))
         cx, cy = float(xs[i]), float(ys[j])
-        w *= 2.0 / (grid - 1) * 2.0
+        w *= 2.0 / (_ORACLE_GRID - 1) * 2.0
     return best
 
 
@@ -160,11 +167,9 @@ def min_norm_interpolant(d: Dataset) -> InterpolationResult:
     """Least representation cost among all functions through the data."""
     if d.n == 1:
         x0, y0 = d.points[0]
-        return InterpolationResult(PwlFunction((), (0.0,), (x0, y0)),
-                                   0.0, (0.0, 0.0))
+        return InterpolationResult(PwlFunction((), (0.0,), (x0, y0)), 0.0)
     l0, ln, value = optimal_end_slopes(interior_slopes(d))
-    spline = _build_spline(d.xs, d.ys, l0, ln)
-    return InterpolationResult(spline, value, (l0, ln))
+    return InterpolationResult(_build_spline(d.xs, d.ys, l0, ln), value)
 
 
 def _slope_operators(xs):
@@ -281,4 +286,4 @@ def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
     objective = (r @ r if loss == "squared" else np.abs(r).sum()) + lam * value
     gap = max(objective - dual, 0.0) / objective if objective > 0 else 0.0
     return InterpolationResult(_build_spline(xs, yhat + shift, l0, ln), value,
-                               (l0, ln), float(gap))
+                               float(gap))

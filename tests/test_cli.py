@@ -200,6 +200,19 @@ class TestHighdimCommand:
         assert rc == cli.EXIT_VALIDATION
         assert "radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_dimension_below_two_is_a_validation_error(self, tmp_path,
+                                                       capsys, d):
+        rc = cli.main(["highdim", "--claim", "bump-decay", "--d", d,
+                       "--output", str(tmp_path / "decay.csv")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "dimension must be at least 2" in capsys.readouterr().err
+
+    def test_empty_radius_sweep_is_a_validation_error(self, tmp_path):
+        rc = cli.main(["highdim", "--claim", "bump-decay", "--r-sweep", "",
+                       "--output", str(tmp_path / "decay.csv")])
+        assert rc == cli.EXIT_VALIDATION
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

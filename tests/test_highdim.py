@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from reluspline.highdim import (AtomMeasureDD, ball_volume, bump_eval,
-                                bump_tail_closed_form, eval_dd, grad_dd,
-                                hessian_decay_estimate,
+                                eval_dd, grad_dd, hessian_decay_estimate,
                                 laplacian_flux_estimate, sphere_area)
 
 
@@ -166,12 +165,6 @@ class TestBump:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         assert bump_eval(q @ x) == pytest.approx(bump_eval(x), abs=1e-8)
 
-    def test_matches_closed_form_outside_unit_ball(self):
-        for d in (2, 3, 5):
-            for r in (1.5, 3.0, 10.0):
-                assert bump_eval(r, d) == pytest.approx(
-                    bump_tail_closed_form(r, d), abs=1e-6)
-
     def test_asymptotic_decay(self):
         for d in (2, 3, 4):
             r = 10.0
@@ -240,17 +233,16 @@ class TestHessianDecay:
         with pytest.raises(ValueError):
             hessian_decay_estimate(3, 1.0, 10)
         with pytest.raises(ValueError):
-            hessian_decay_estimate(3, 10.0, 10, fd_step=1e-5)
-        with pytest.raises(ValueError):
             hessian_decay_estimate(3, 10.0, 1)
 
     def test_rejects_nan_radius(self):
         with pytest.raises(ValueError):
             hessian_decay_estimate(3, np.nan, 10)
 
-    def test_rejects_nan_fd_step(self):
-        with pytest.raises(ValueError):
-            hessian_decay_estimate(3, 10.0, 10, fd_step=np.nan)
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_rejects_dimension_below_two(self, d):
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            hessian_decay_estimate(d, 10.0, 10)
 
     @pytest.mark.parametrize("r", [8.0, 16.0])
     def test_bump_exact_value_d3(self, r):

@@ -157,7 +157,8 @@ class TestGradient:
         d = Dataset(((1.0, 1.0), (2.0, 2.0)))
         value, grad = objective_and_grad(net, d, 0.0)
         assert value == pytest.approx(0.0)
-        assert grad.norm() == pytest.approx(0.0)
+        for part in (grad.w1, grad.b1, grad.w2, [grad.b2]):
+            assert np.abs(part).max() == pytest.approx(0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(36)
@@ -182,6 +183,25 @@ class TestGradient:
                 fd[i] = (value_at(p_hi) - value_at(p_lo)) / (2 * step)
             denom = np.maximum(np.abs(analytic), 1.0)
             assert np.abs(fd - analytic).max() / denom.max() < 1e-5
+
+
+class TestResultValues:
+    def test_gradients_compare_and_hash_by_value(self):
+        net = TwoLayerNet([1.0, -0.5], [0.2, 0.3], [0.7, 1.1], 0.4)
+        d = Dataset(((0.0, 1.0), (1.0, 3.0), (2.0, 0.5)))
+        _, g1 = objective_and_grad(net, d, 0.1)
+        _, g2 = objective_and_grad(net, d, 0.1)
+        assert isinstance(g1, TwoLayerNet)
+        assert g1 == g2 and hash(g1) == hash(g2)
+
+    def test_train_results_compare_by_identity(self):
+        d = Dataset(((0.0, 1.0), (1.0, 3.0)))
+        cfg = TrainConfig(max_steps=20, seed=0)
+        r1 = train(net2.init(2, cfg), d, cfg)
+        r2 = train(net2.init(2, cfg), d, cfg)
+        assert r1 == r1 and r1 != r2
+        assert hash(r1) != hash(r2) and len({r1, r2}) == 2
+        assert r1.net == r2.net
 
 
 class TestLowerBound:
@@ -212,6 +232,16 @@ class TestTrainConfig:
     def test_rejects_non_finite_hyperparameter(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("steps", [np.nan, 2.5, 10.0, -1, "10"])
+    def test_max_steps_must_be_nonnegative_integer(self, steps):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            TrainConfig(max_steps=steps)
+
+    def test_numpy_integer_max_steps(self):
+        cfg = TrainConfig(max_steps=np.int64(5))
+        d = Dataset(((0.0, 1.0), (1.0, 3.0)))
+        assert train(net2.init(2, cfg), d, cfg).steps == 5
 
 
 class TestInit:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from reluspline import pwl, repcost
+from reluspline import pwl, repcost, spline
 from reluspline.deep import ParallelDeepNet, SphereFactoredNet, align_to_sphere
 from reluspline.highdim import AtomMeasureDD
 from reluspline.net2 import (TwoLayerNet, extract_u, net_cost, net_eval,
@@ -43,7 +43,8 @@ def grid_around(points, n=400):
 
 
 def close(got, want, rel):
-    return np.abs(got - want).max() <= rel * (1.0 + np.abs(want).max())
+    return (np.abs(got - want).max(initial=0.0)
+            <= rel * (1.0 + np.abs(want).max(initial=0.0)))
 
 
 @st.composite
@@ -179,6 +180,122 @@ class TestNetsAndMeasures:
         assert close(repcost.measure_eval(alpha, xs), want, 1e-9)
         assert close(pwl.pwl_eval(repcost.measure_to_pwl(alpha), xs), want,
                      1e-9)
+
+
+@st.composite
+def pwl_functions(draw, max_breakpoints=200):
+    """A function with up to max_breakpoints breakpoints."""
+    n = draw(st.integers(0, max_breakpoints))
+    rng = np.random.default_rng(draw(seeds))
+    scale = draw(scales)
+    bp = np.sort(rng.uniform(-10, 10, n)) * scale
+    return PwlFunction(bp, rng.standard_normal(n + 1),
+                       (0.0, float(rng.standard_normal())))
+
+
+@st.composite
+def interpolation_data(draw):
+    """Up to 30 points at least 0.5 * scale apart, spanning at most
+    60 * scale, with y on a scale of its own."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(seeds))
+    scale = draw(scales)
+    xs = (rng.uniform(-10, 10) + np.cumsum(rng.uniform(0.5, 2.0, n))) * scale
+    ys = rng.standard_normal(n) * draw(scales)
+    return Dataset(zip(xs.tolist(), ys.tolist()))
+
+
+def same_function(f, g, rel=1e-12):
+    """Breakpoints, slopes and values at f's breakpoints and both anchors
+    agree to rel relative to the largest of each."""
+    xs = np.concatenate((f.breakpoints, [f.anchor[0], g.anchor[0]]))
+    return (f.breakpoints.shape == g.breakpoints.shape
+            and close(g.breakpoints, f.breakpoints, rel)
+            and close(g.slopes, f.slopes, rel)
+            and close(pwl.pwl_eval(g, xs), pwl.pwl_eval(f, xs), rel))
+
+
+def transformed(d, fx, fy):
+    return Dataset(zip(fx(d.xs).tolist(), fy(d.ys).tolist()))
+
+
+class TestSymmetries:
+    """The cost and the minimum-cost interpolant commute with translation,
+    reflection and scaling of the data."""
+
+    @SETTINGS
+    @given(pwl_functions(), st.floats(-1e3, 1e3),
+           st.sampled_from([-1e3, -2.5, -1.0, -1e-3, 1e-3, 0.5, 3.0, 1e3]))
+    def test_cost_under_translate_reflect_and_scale(self, f, dx, c):
+        cost = repcost.representation_cost(f).cost
+        assert repcost.representation_cost(pwl.translate(f, dx)).cost == cost
+        assert close(repcost.representation_cost(pwl.reflect(f)).cost, cost,
+                     1e-12)
+        assert close(repcost.representation_cost(pwl.scale(f, c)).cost,
+                     abs(c) * cost, 1e-12)
+
+    @SETTINGS
+    @given(interpolation_data(), st.floats(-10, 10))
+    def test_interpolant_of_translated_data(self, d, t):
+        # dx on the data's own scale: the float error eps * |x + dx| of x + dx
+        # would be large next to the gaps for a shift far beyond the data
+        dx = t * np.abs(d.xs).max()
+        got = spline.min_norm_interpolant(transformed(d, lambda x: x + dx,
+                                                      lambda y: y))
+        want = spline.min_norm_interpolant(d)
+        assert same_function(pwl.translate(want.spline, dx), got.spline)
+        assert close(got.cost, want.cost, 1e-12)
+
+    @SETTINGS
+    @given(interpolation_data())
+    def test_interpolant_of_reflected_data(self, d):
+        got = spline.min_norm_interpolant(transformed(d, np.negative,
+                                                      lambda y: y))
+        want = spline.min_norm_interpolant(d)
+        assert same_function(pwl.reflect(want.spline), got.spline)
+        assert close(got.cost, want.cost, 1e-12)
+
+    @SETTINGS
+    @given(interpolation_data(), st.sampled_from([1e-3, 0.5, 3.0, 1e3]))
+    def test_interpolant_of_scaled_data(self, d, c):
+        # c > 0: with c < 0 the tie between bending the left or the right
+        # end slope resolves the other way, so only the cost is equivariant
+        got = spline.min_norm_interpolant(transformed(d, lambda x: x,
+                                                      lambda y: c * y))
+        want = spline.min_norm_interpolant(d)
+        assert same_function(pwl.scale(want.spline, c), got.spline)
+        assert close(got.cost, c * want.cost, 1e-12)
+        flipped = spline.min_norm_interpolant(
+            transformed(d, lambda x: x, lambda y: -c * y))
+        assert close(flipped.cost, c * want.cost, 1e-12)
+
+    @SETTINGS
+    @given(interpolation_data(), seeds)
+    def test_no_challenger_through_the_points_is_cheaper(self, d, seed):
+        """Piecewise-linear challengers through the data, with random extra
+        breakpoints between the points and random end slopes, some far from
+        the interpolant and some close to it."""
+        rng = np.random.default_rng(seed)
+        res = spline.min_norm_interpolant(d)
+        best = res.cost
+        assert close(repcost.representation_cost(res.spline).cost, best, 1e-12)
+        slope_scale = 1.0 + np.abs(res.spline.slopes).max()
+        for noise in (1.0, 1e-3, 1e-6) * 4:
+            extra = rng.random(d.n - 1) < 0.7
+            mids = d.xs[:-1] + rng.uniform(0.1, 0.9, d.n - 1) * np.diff(d.xs)
+            knots = np.sort(np.concatenate((d.xs, mids[extra])))
+            vals = pwl.pwl_eval(res.spline, knots)
+            vals[~np.isin(knots, d.xs)] += rng.normal(
+                0, noise * slope_scale * np.diff(d.xs)[extra])
+            vals[np.isin(knots, d.xs)] = d.ys
+            ends = (np.array(res.end_slopes)
+                    + rng.normal(0, noise * slope_scale, 2))
+            challenger = PwlFunction(knots, np.concatenate(
+                ([ends[0]], np.diff(vals) / np.diff(knots), [ends[1]])),
+                (knots[0], vals[0]))
+            assert close(pwl.pwl_eval(challenger, d.xs), d.ys, 1e-9)
+            cost = repcost.representation_cost(challenger).cost
+            assert best <= cost * (1.0 + 1e-12) + 1e-12
 
 
 def raises(message):

@@ -187,6 +187,29 @@ class TestDiscretizeSmooth:
         with pytest.raises(ValueError):
             repcost.discretize_smooth(lambda x: 1.0, (1.0, 0.0), 10, 0.0, (0, 0))
 
+    @pytest.mark.parametrize("support", [(np.nan, 1.0), (0.0, np.nan),
+                                         (-np.inf, 1.0), (0.0, np.inf)])
+    def test_rejects_non_finite_support(self, support):
+        with pytest.raises(ValueError, match="support bounds must be finite"):
+            repcost.discretize_smooth(lambda x: 1.0, support, 10, 0.0, (0, 0))
+
+    @pytest.mark.parametrize("n_atoms", [2.5, 10.0, np.nan])
+    def test_rejects_non_integer_atom_count(self, n_atoms):
+        with pytest.raises(ValueError, match="n_atoms must be an integer"):
+            repcost.discretize_smooth(lambda x: 1.0, (0.0, 1.0), n_atoms,
+                                      0.0, (0, 0))
+
+    def test_numpy_integer_atom_count(self):
+        alpha = repcost.discretize_smooth(lambda x: 1.0, (0.0, 1.0),
+                                          np.int64(4), 0.0, (0, 0))
+        assert repcost.measure_norm(alpha) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_density(self, bad):
+        with pytest.raises(ValueError, match="fpp must be finite"):
+            repcost.discretize_smooth(lambda x: bad if x > 0.5 else 1.0,
+                                      (0.0, 1.0), 10, 0.0, (0, 0))
+
     def test_indicator_second_derivative(self):
         alpha = repcost.discretize_smooth(
             lambda x: 1.0, (0.0, 1.0), 1000, 0.0, (0.0, 0.0))
