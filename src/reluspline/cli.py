@@ -148,19 +148,13 @@ def _cmd_extract(args):
     return 0
 
 
-def _random_deep_net(L, m, k, seed, d=1):
+def _random_deep_net(L, m, k, seed):
     rng = np.random.Generator(np.random.Philox(seed))
-    subnets = []
-    for _ in range(k):
-        mats = [rng.standard_normal((m, d))]
-        for _ in range(L - 3):
-            mats.append(rng.standard_normal((m, m)))
-        if L >= 3:
-            mats.append(rng.standard_normal((1, m)))
-        else:
-            mats = [rng.standard_normal((1, d))]
-        subnets.append(tuple(mats))
-    return deep.ParallelDeepNet(tuple(subnets), rng.standard_normal(k))
+    # at L = 2 an (m, 1) draw is dropped, so seeded nets stay as they were
+    shapes = [(m, 1)] + [(m, m)] * (L - 3) + [(1, m) if L >= 3 else (1, 1)]
+    subnets = tuple(tuple([rng.standard_normal(s) for s in shapes][1 - L:])
+                    for _ in range(k))
+    return deep.ParallelDeepNet(subnets, rng.standard_normal(k))
 
 
 def _cmd_depth(args):

@@ -210,27 +210,29 @@ def _null_vector(m: np.ndarray) -> np.ndarray:
     return -beta if beta[np.argmax(np.abs(beta))] < 0 else beta
 
 
-def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
-    """Reduce the active coefficients to at most N without moving predictions.
+def _walk_step(alpha, phi):
+    """The first N+1 active chains and a null vector of the prediction map
+    on them, or None once at most N chains are active."""
+    sub = np.flatnonzero(alpha)[:len(phi) + 1]
+    return (sub, _null_vector(phi[:, sub])) if sub.size > len(phi) else None
 
-    ``X`` holds the N inputs as rows.  Requires depth 2, where the penalty
-    is the l1 norm.  Each step walks a null vector of the prediction map on
-    the first N+1 active chains to its nearest zero crossing, in whichever
-    direction does not increase the norm.
+
+def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
+    """Reduce the active coefficients to at most N without moving predictions
+    or raising the bridge penalty.
+
+    ``X`` holds the N inputs as rows.  Each step walks ``_walk_step``'s null
+    vector beta to its nearest zero crossing, oriented so the penalty's
+    slope sum sign(a_i) |a_i|^(2/L - 1) beta_i is not positive.  Each
+    |a_i + t beta_i|^(2/L) is concave until it crosses zero, so the penalty
+    stays under its tangent.  At L = 2 the weights are 1: the l1 walk.
     """
-    if s.depth != 2:
-        raise ValueError("support sparsification implemented for depth 2 only")
     phi = _chain_values(s.layers, X)
-    n = phi.shape[0]
     alpha = np.array(s.alpha)
-    while True:
-        active = np.flatnonzero(alpha)
-        if active.size <= n:
-            break
-        sub = active[:n + 1]
+    while (step := _walk_step(alpha, phi)) is not None:
+        sub, beta = step
         a = alpha[sub]
-        beta = _null_vector(phi[:, sub])
-        if float(np.sign(a) @ beta) > 0:
+        if float(np.sign(a) * np.abs(a) ** (2.0 / s.depth - 1.0) @ beta) > 0:
             beta = -beta
         crossing = np.full(beta.shape, np.inf)
         opposing = np.sign(beta) == -np.sign(a)
@@ -245,7 +247,7 @@ def improving_direction(s: SphereFactoredNet, X):
     """A certified penalty-decreasing perturbation for depth at least 3.
 
     When more than N coefficients are active, returns (beta, rho) with beta
-    in the null space of the prediction map on the first N+1 active subnets
+    the unoriented null vector of ``_walk_step``, spread over all chains,
     and rho small enough that alpha + rho*beta and alpha - rho*beta keep
     every active sign.  Strict concavity of |.|^(2/L) then makes the smaller
     of the two perturbed penalties strictly below the current one.  Returns
@@ -253,13 +255,10 @@ def improving_direction(s: SphereFactoredNet, X):
     """
     if s.depth < 3:
         raise ValueError("use sparsify_support for depth 2")
-    phi = _chain_values(s.layers, X)
-    n = phi.shape[0]
-    active = np.flatnonzero(s.alpha)
-    if active.size <= n:
+    step = _walk_step(s.alpha, _chain_values(s.layers, X))
+    if step is None:
         return None
-    sub = active[:n + 1]
-    beta_sub = _null_vector(phi[:, sub])
+    sub, beta_sub = step
     nz = beta_sub != 0.0
     rho = 0.5 * float(np.min(np.abs(s.alpha[sub][nz]) / np.abs(beta_sub[nz])))
     beta = np.zeros(len(s.alpha))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +24,13 @@ _FLUX_BATCH = 4096
 # Finite-difference step of the Hessian estimate.  Float cancellation in the
 # second difference grows like eps / h^2, so it must not be much smaller.
 _FD_STEP = 1e-2
+
+
+def _check_dim(d) -> None:
+    if not isinstance(d, Integral):
+        raise ValueError("dimension must be an integer")
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
 
 
 def ball_volume(m: int) -> float:
@@ -48,8 +56,7 @@ class AtomMeasureDD(Value):
     d: int = 2
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
+        _check_dim(self.d)
         rows = [np.hstack(atom) for atom in self.atoms]
         if any(row.size != self.d + 2 for row in rows):
             raise ValueError("atom direction has wrong dimension")
@@ -61,6 +68,7 @@ class AtomMeasureDD(Value):
             raise ValueError("atom directions must be unit vectors")
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", int(self.d))
 
     def directions(self) -> np.ndarray:
         return self.atoms[:, :-2]
@@ -172,8 +180,7 @@ def bump_eval(x, d: int | None = None) -> float:
     else:
         d = x.size if d is None else d
         r = float(np.linalg.norm(x))
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_dim(d)
     if not np.isfinite(r):
         raise ValueError("bump argument must be finite")
     return float(_bump_radial(r, d))
@@ -220,8 +227,7 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
     uniformly instead leaves the thin shells near the origin and the unit
     sphere, where the bump's Hessian is largest, to rare draws.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_dim(d)
     if not 2 < r < np.inf:
         raise ValueError("radius must exceed 2 and be finite")
     if n_samples < 2:

@@ -17,7 +17,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import repcost
 from ._value import Value
 from .pwl import PwlFunction
 

@@ -37,6 +37,15 @@ def reference_eval(net, X):
     return reference_chains(net, X) @ np.asarray(net.top)
 
 
+def assert_sparsified(s, X, out):
+    """At most N active chains, the same predictions, no higher penalty."""
+    L = s.depth
+    assert np.count_nonzero(out.alpha) <= len(X)
+    assert bridge_penalty(out.alpha, L) <= bridge_penalty(s.alpha, L) + 1e-10
+    assert np.allclose(reference_eval(out, X), reference_eval(s, X),
+                       rtol=0.0, atol=1e-10)
+
+
 def random_sphere_net(rng, k, d):
     subnets = []
     for _ in range(k):
@@ -316,11 +325,41 @@ class TestSparsify:
             assert np.allclose(reference_eval(out, X), want, rtol=0.0,
                                atol=1e-10)
 
-    def test_rejects_deep(self):
-        rng = np.random.default_rng(54)
-        net = align_to_sphere(random_net(rng, 3, 2, 3, 2))
-        with pytest.raises(ValueError):
-            sparsify_support(net, np.zeros((1, 2)))
+
+class TestDeepSparsify:
+    """The walk at L >= 3: steps oriented by the penalty's tangent."""
+
+    @pytest.mark.parametrize("L, n, k", [(3, 20, 60), (4, 30, 120)])
+    def test_benchmark_scale(self, L, n, k):
+        rng = np.random.default_rng(80 + L)
+        s = align_to_sphere(random_net(rng, L, 4, k, 3))
+        X = rng.standard_normal((n, 3))
+        out = sparsify_support(s, X)
+        assert_sparsified(s, X, out)
+        assert bridge_penalty(out.alpha, L) < 0.8 * bridge_penalty(s.alpha, L)
+
+    @staticmethod
+    def _tangent_case(L, seed):
+        rng = np.random.default_rng([L, seed])
+        n = int(rng.integers(1, 4))
+        subnets = [tuple([rng.standard_normal((3, 2))]
+                         + [rng.standard_normal((3, 3)) for _ in range(L - 3)]
+                         + [rng.standard_normal((1, 3))])
+                   for _ in range(n + 1)]
+        top = rng.standard_normal(n + 1) * np.exp(rng.uniform(-5, 1, n + 1))
+        s = align_to_sphere(ParallelDeepNet(tuple(subnets), top))
+        return s, rng.standard_normal((n, 2))
+
+    # start -> sign(alpha).beta walk -> tangent walk: 4.763 -> 4.956 -> 4.617
+    # at [3, 404] and 8.379 -> 8.932 -> 8.027 at [4, 509]
+    @pytest.mark.parametrize("L, seed, start, end",
+                             [(3, 404, 4.763, 4.617), (4, 509, 8.379, 8.027)])
+    def test_sign_orientation_counterexamples(self, L, seed, start, end):
+        s, X = self._tangent_case(L, seed)
+        out = sparsify_support(s, X)
+        assert_sparsified(s, X, out)
+        assert bridge_penalty(s.alpha, L) == pytest.approx(start, abs=1e-3)
+        assert bridge_penalty(out.alpha, L) == pytest.approx(end, abs=1e-3)
 
 
 class TestImprovingDirection:
@@ -457,3 +496,15 @@ class TestDeadChains:
         assert np.abs(out.alpha).sum() <= np.abs(s.alpha).sum() + 1e-10
         assert np.allclose(reference_eval(out, X), reference_eval(s, X),
                            rtol=0.0, atol=1e-10)
+
+    def test_sparsify_zeroes_dead_chains_first_deep(self):
+        rng = np.random.default_rng(78)
+        n, d, m, k = 4, 2, 3, 9
+        raw = random_net(rng, 3, m, k, d)
+        s = align_to_sphere(ParallelDeepNet(self._kill(raw.subnets, (1, 3)),
+                                            raw.top))
+        X = rng.standard_normal((n, d))
+        assert np.all(deep._chain_values(s.layers, X)[:, [1, 3]] == 0.0)
+        out = sparsify_support(s, X)
+        assert out.alpha[1] == 0.0 and out.alpha[3] == 0.0
+        assert_sparsified(s, X, out)

@@ -43,6 +43,13 @@ class TestAtomMeasure:
         with pytest.raises(ValueError):
             AtomMeasureDD((((1.0,), 0.0, 1.0),), 0.0, 2)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, d)
+        m = AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, np.int64(2))
+        assert AtomMeasureDD.from_json(m.to_json()) == m and type(m.d) is int
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["direction", "bias", "mass", "offset"])
     def test_rejects_non_finite(self, field, bad):
@@ -209,6 +216,12 @@ class TestBump:
         with pytest.raises(ValueError):
             bump_eval(np.array(x))
 
+    @pytest.mark.parametrize("d", [2.5, 3.0])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            bump_eval(1.5, d)
+        assert bump_eval(1.5, np.int64(3)) == bump_eval(1.5, 3)
+
 
 class TestHessianDecay:
     def test_quadratic_control_case(self):
@@ -243,6 +256,11 @@ class TestHessianDecay:
     def test_rejects_dimension_below_two(self, d):
         with pytest.raises(ValueError, match="dimension must be at least 2"):
             hessian_decay_estimate(d, 10.0, 10)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            hessian_decay_estimate(d, 5.0, 10)
 
     @pytest.mark.parametrize("r", [8.0, 16.0])
     def test_bump_exact_value_d3(self, r):

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 
 from reluspline import pwl, repcost, spline
-from reluspline.deep import ParallelDeepNet, SphereFactoredNet, align_to_sphere
+from reluspline.deep import (ParallelDeepNet, SphereFactoredNet, _chain_values,
+                             _null_vector, align_to_sphere, bridge_penalty,
+                             sparsify_support)
 from reluspline.highdim import AtomMeasureDD
 from reluspline.net2 import (TwoLayerNet, extract_u, net_cost, net_eval,
                              to_pwl)
@@ -463,12 +465,12 @@ class TestDataset:
 
 
 @st.composite
-def deep_nets(draw):
-    """A parallel net of depth 2 to 4 with up to 6 chains and inputs of
-    dimension 1 to 3."""
+def deep_nets(draw, max_chains=6):
+    """A parallel net of depth 2 to 4 with up to ``max_chains`` chains and
+    inputs of dimension 1 to 3."""
     rng = np.random.default_rng(draw(seeds))
     L, m, k, d = (draw(st.integers(lo, hi))
-                  for lo, hi in ((2, 4), (1, 3), (1, 6), (1, 3)))
+                  for lo, hi in ((2, 4), (1, 3), (1, max_chains), (1, 3)))
     shapes = [(1, d)] if L == 2 else [(m, d)] + [(m, m)] * (L - 3) + [(1, m)]
     subnets = tuple(tuple(rng.standard_normal(s) for s in shapes)
                     for _ in range(k))
@@ -566,3 +568,40 @@ class TestValueSemantics:
         beta = AtomMeasureDD((((0.6, 0.8), 0.5, 2.0),), 1.0, 2)
         assert beta.to_dict() == {"atoms": [[0.6, 0.8, 0.5, 2.0]],
                                   "c": 1.0, "d": 2}
+
+
+def reference_sign_walk(s, X):
+    """The depth-2 walk oriented by sign(alpha) . beta, the l1 slope."""
+    phi = _chain_values(s.layers, X)
+    n = phi.shape[0]
+    alpha = np.array(s.alpha)
+    while np.count_nonzero(alpha) > n:
+        sub = np.flatnonzero(alpha)[:n + 1]
+        a = alpha[sub]
+        beta = _null_vector(phi[:, sub])
+        if float(np.sign(a) @ beta) > 0:
+            beta = -beta
+        crossing = np.full(beta.shape, np.inf)
+        opposing = np.sign(beta) == -np.sign(a)
+        crossing[opposing] = -a[opposing] / beta[opposing]
+        t = crossing.min()
+        alpha[sub] = a + t * beta
+        alpha[sub[crossing <= t]] = 0.0
+    return alpha
+
+
+class TestSparsifySupport:
+    @SETTINGS
+    @given(deep_nets(max_chains=16), st.integers(1, 6), seeds)
+    def test_walk_guarantees(self, net, n, seed):
+        s = align_to_sphere(net)
+        X = np.random.default_rng(seed).standard_normal((n, net.input_dim))
+        out = sparsify_support(s, X)
+        L = s.depth
+        assert np.count_nonzero(out.alpha) <= n
+        assert bridge_penalty(out.alpha, L) <= bridge_penalty(s.alpha, L) * (
+            1.0 + 1e-12)
+        assert close(_chain_values(out.layers, X) @ out.alpha,
+                     _chain_values(s.layers, X) @ s.alpha, 1e-10)
+        if L == 2:
+            assert out.alpha.tobytes() == reference_sign_walk(s, X).tobytes()
