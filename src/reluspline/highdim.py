@@ -2,7 +2,8 @@
 
 Contains the atom-measure evaluator and gradient, a Monte-Carlo estimator
 of the normalized Laplacian surface flux, the radial "bump" induced by the
-uniform second-difference measure on the sphere, and a Monte-Carlo
+uniform second-difference measure on the sphere (elementary for every
+integer d, by a recurrence on the integral of (1-t^2)^m), and a Monte-Carlo
 finite-difference estimator showing its normalized Hessian mass vanishes.
 """
 
@@ -140,27 +141,31 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
 
 
 def _bump_radial(radii, d: int) -> np.ndarray:
-    """Exact bump values h(r) at nonnegative radii, elementwise.
+    """Exact bump values h(r) at nonnegative radii, elementwise, numpy only.
 
-    With s = min(1, 1/r^2),
-    h(r) = area(S^{d-2}) * [ (2r/(d-1)) * ((1 - s)^((d-1)/2) - 1)
-                             + int_{-sqrt(s)}^{sqrt(s)} (1-t^2)^((d-3)/2) dt ],
-    the even integral expressed through the regularized incomplete beta
-    function.  Inside the unit ball every direction meets the tent on its
-    linear part, s = 1, and this is A_d - 2r * area(S^{d-2}) / (d-1).
+    With a = 1/max(r, 1), q = 1 - a^2 and b = (d-1)/2,
+    h(r) = area(S^{d-2}) * [ J_{b-1} - (2/(d-1)) * (r a) * a * G_b ],
+    where J_m = int_{-a}^{a} (1-t^2)^m dt and G_c = (1 - q^c)/a^2.  Both
+    climb from J_{-1/2} = 2 arcsin(a), G_{1/2} = 1/(1 + sqrt(q)) for even d,
+    or J_0 = 2a, G_1 = 1 for odd d, by the integration by parts
+    (2m+1) J_m = 2a q^m + 2m J_{m-1} and the geometric step
+    G_{m+1} = G_m + q^m.  Their terms are all nonnegative, so neither loses
+    precision near a = 1 or a = 0, and r^2, which overflows, is never formed.
     """
-    from scipy.special import beta as beta_fn
-    from scipy.special import betainc
-
     r = np.asarray(radii, dtype=float)
-    a, b = 0.5, (d - 1) / 2.0
-    s2 = 1.0 / np.maximum(r, 1.0) ** 2
-    even = beta_fn(a, b) * betainc(a, b, s2)
-    # expm1/log1p avoids the cancellation in (1 - s2)^b - 1 at large radius;
-    # at s2 = 1 it gives expm1(-inf) = -1
-    with np.errstate(divide="ignore"):
-        slope = np.expm1(b * np.log1p(-s2))
-    return sphere_area(d - 1) * (even + (2.0 * r / (d - 1)) * slope)
+    a = 1.0 / np.maximum(r, 1.0)
+    q = (1.0 - a) * (1.0 + a)  # 1 - a^2 to full relative precision
+    if d % 2:
+        m, J, G, p = 0.0, 2.0 * a, 1.0, q
+    else:
+        p = np.sqrt(q)
+        m, J, G = -0.5, 2.0 * np.arcsin(a), 1.0 / (1.0 + p)
+    while m < (d - 3) / 2:  # here p = q^(m+1)
+        m += 1.0
+        J = (2.0 * a * p + 2.0 * m * J) / (2.0 * m + 1.0)
+        G = G + p
+        p = p * q
+    return sphere_area(d - 1) * (J - (2.0 / (d - 1)) * (r * a) * a * G)
 
 
 def bump_eval(x, d: int | None = None) -> float:
@@ -169,8 +174,8 @@ def bump_eval(x, d: int | None = None) -> float:
 
     ``x`` is a d-vector, or a radius when ``d`` is given.  The value is
     exact: with r = |x|, h(r) = A_d - 2r * area(S^{d-2}) / (d-1) for r <= 1,
-    and for r > 1 the incomplete-beta form of ``_bump_radial``, which
-    decays like area(S^{d-2}) / r.
+    and for r > 1 the recurrence of ``_bump_radial`` in integer steps of
+    the exponent m of (1-t^2)^m; it decays like area(S^{d-2}) / r.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -179,7 +184,7 @@ def bump_eval(x, d: int | None = None) -> float:
         r = abs(float(x))
     else:
         d = x.size if d is None else d
-        r = float(np.linalg.norm(x))
+        r = float(np.hypot.reduce(x.ravel()))  # no overflow at huge |x|
     _check_dim(d)
     if not np.isfinite(r):
         raise ValueError("bump argument must be finite")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -231,15 +232,36 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
 
-def test_import_defers_scipy_solvers():
-    # scipy.special and scipy.optimize load on first use, so a CLI command
-    # that needs neither does not pay for importing them
-    code = ("import sys, reluspline, reluspline.cli; print(sorted(m for m in "
-            "('scipy.special', 'scipy.optimize') if m in sys.modules))")
+def test_import_defers_scipy_solvers(tmp_path):
+    # only regularized_fit needs scipy, which it imports on first use, so
+    # the bump, both estimators and every CLI command but those fits leave
+    # all of scipy unloaded
+    write(tmp_path / "f.json", pwl.absval().to_dict())
+    write(tmp_path / "data.json",
+          {"points": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]})
+    code = textwrap.dedent("""\
+        import sys
+        from reluspline import cli, highdim
+        highdim.bump_eval(2.5, 3)
+        highdim.hessian_decay_estimate(3, 4.0, 10)
+        highdim.laplacian_flux_estimate(
+            highdim.AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, 2), 2.0, 100)
+        for args in (
+                ["highdim", "--claim", "bump-decay", "--r-sweep", "4",
+                 "--samples", "10", "--output", "decay.csv"],
+                ["train2", "data.json", "--k", "4", "--steps", "20",
+                 "--prefix", "run", "--output", "train2.json"],
+                ["interp", "data.json", "--output", "interp.json"],
+                ["repcost", "f.json", "--output", "repcost.json"],
+                ["depth", "--random", "3", "2", "3", "0",
+                 "--output", "depth.json"]):
+            assert cli.main(args) == 0, args
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta, betainc
 
-from reluspline.highdim import (AtomMeasureDD, ball_volume, bump_eval,
-                                eval_dd, grad_dd, hessian_decay_estimate,
+from reluspline.highdim import (AtomMeasureDD, _bump_radial, ball_volume,
+                                bump_eval, eval_dd, grad_dd,
+                                hessian_decay_estimate,
                                 laplacian_flux_estimate, sphere_area)
 
 
@@ -159,6 +163,24 @@ class TestFluxEstimate:
         with pytest.raises(ValueError):
             laplacian_flux_estimate(a, np.nan, 100, seed=0)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+    def test_exact_value_at_finite_radius(self, d, r):
+        # for unit w, (A_d / V_{d-1}) * E_u 1[<w,u> > t] <w,u> is exactly
+        # (1 - t^2)^((d-1)/2), so the flux of the measure at radius r is the
+        # sum of m_i (1 - t_i^2)^((d-1)/2) with t_i = clip(-b_i / r, -1, 1);
+        # only b / r matters, so each case draws its own biases
+        rng = np.random.default_rng([5, d, int(10 * r)])
+        w = rng.standard_normal((5, d))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        b = rng.uniform(-1.2 * r, 1.2 * r, 5)
+        m = rng.uniform(0.2, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+        a = AtomMeasureDD(tuple(zip(map(tuple, w), b, m)), 0.0, d)
+        t = np.clip(-b / r, -1.0, 1.0)
+        exact = float(m @ (1.0 - t * t) ** ((d - 1) / 2))
+        est = laplacian_flux_estimate(a, r, 200_000, seed=d)
+        assert abs(est.value - exact) < 4 * est.std_error
+
 
 class TestBump:
     def test_origin_value(self):
@@ -205,6 +227,40 @@ class TestBump:
                              epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                         for a, b in zip(edges, edges[1:]))
             assert abs(bump_eval(r, d) - sphere_area(d - 1) * total) < 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_matches_incomplete_beta_form(self, d):
+        # the former scipy form: area(S^{d-2}) * [B(1/2, b) I_s(1/2, b)
+        # + (2r/(d-1)) * ((1-s)^b - 1)] with s = min(1, 1/r^2), b = (d-1)/2
+        stencil = []
+
+        def record(radii):
+            stencil.append(radii.ravel())
+            return radii
+
+        hessian_decay_estimate(d, 10.0, 4, seed=d, radial_fn=record)
+        r = np.concatenate([np.linspace(0.0, 1e6, 301),
+                            np.geomspace(1e-3, 1e6, 301),
+                            [1.0, 1.0 - 1e-9, 1.0 + 1e-9], *stencil])
+        b = (d - 1) / 2
+        s = 1.0 / np.maximum(r, 1.0) ** 2
+        with np.errstate(divide="ignore"):
+            slope = np.expm1(b * np.log1p(-s))
+        ref = sphere_area(d - 1) * (beta(0.5, b) * betainc(0.5, b, s)
+                                    + (2.0 * r / (d - 1)) * slope)
+        got = _bump_radial(r, d)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("r", [1e160, 1e300])
+    def test_huge_radius_decays_like_one_over_r(self, d, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = bump_eval(r, d)
+            vector_value = bump_eval(np.full(d, r))
+        assert value == pytest.approx(sphere_area(d - 1) / r, rel=1e-12)
+        assert vector_value == pytest.approx(
+            sphere_area(d - 1) / (r * np.sqrt(d)), rel=1e-12)
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_radius(self, x):
