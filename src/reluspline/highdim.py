@@ -4,7 +4,8 @@ Contains the atom-measure evaluator and gradient, a Monte-Carlo estimator
 of the normalized Laplacian surface flux, the radial "bump" induced by the
 uniform second-difference measure on the sphere (elementary for every
 integer d, by a recurrence on the integral of (1-t^2)^m), and a Monte-Carlo
-finite-difference estimator showing its normalized Hessian mass vanishes.
+estimator, on the radial identity |H|_F = sqrt(h''^2 + (d-1) (h'/rho)^2),
+showing its normalized Hessian mass vanishes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def _check_dim(d) -> None:
         raise ValueError("dimension must be an integer")
     if d < 2:
         raise ValueError("dimension must be at least 2")
+
+
+def _check_count(n) -> None:
+    if not isinstance(n, Integral):
+        raise ValueError("sample count must be an integer")
+    if n < 2:
+        raise ValueError("need at least two samples")
 
 
 def ball_volume(m: int) -> float:
@@ -105,11 +113,6 @@ class FluxEstimate:
     std_error: float
 
 
-def _sphere_samples(rng, n: int, d: int) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
                             seed: int = 0) -> FluxEstimate:
     """Monte-Carlo surface flux (A_d / V_{d-1}) * E_u <grad f(r u), u> of the
@@ -118,8 +121,7 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
     """
     if not 0 < r < np.inf:
         raise ValueError("radius must be positive and finite")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    _check_count(n_samples)
     d = source.d
     w, b, m = source.directions(), source.biases(), source.masses()
     rng = np.random.Generator(np.random.Philox(seed))
@@ -129,7 +131,8 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
     done = 0
     while done < n_samples:
         batch = min(_FLUX_BATCH, n_samples - done)
-        proj = _sphere_samples(rng, batch, d) @ w.T
+        g = rng.standard_normal((batch, d))
+        proj = (g / np.linalg.norm(g, axis=1, keepdims=True)) @ w.T
         pre = r * proj + b
         vals = scale * np.einsum("nk,nk->n", (pre > 0.0) * m, proj)
         total += float(vals.sum())
@@ -184,37 +187,13 @@ def bump_eval(x, d: int | None = None) -> float:
         r = abs(float(x))
     else:
         d = x.size if d is None else d
-        r = float(np.hypot.reduce(x.ravel()))  # no overflow at huge |x|
+        if x.ndim != 1 or x.size != d:
+            raise ValueError("input dimension mismatch")
+        r = float(np.hypot.reduce(x))  # no overflow at huge |x|
     _check_dim(d)
     if not np.isfinite(r):
         raise ValueError("bump argument must be finite")
     return float(_bump_radial(r, d))
-
-
-def _fd_hessian_norms(radial, points: np.ndarray, h: float) -> np.ndarray:
-    """Frobenius norms of central-difference Hessians of a radial function.
-
-    One call to ``radial`` on the stacked stencil radii evaluates every
-    sample point at once.  Stencil order: the centre, then +-h e_i for each
-    axis i, then (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) for each pair i < j.
-    """
-    n, d = points.shape
-    e = h * np.eye(d)
-    i, j = np.triu_indices(d, 1)
-    offsets = np.vstack([
-        np.zeros((1, d)),
-        np.stack([e, -e], axis=1).reshape(-1, d),
-        np.stack([e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]],
-                 axis=1).reshape(-1, d)])
-    radii = np.linalg.norm(points[:, None, :] + offsets[None, :, :], axis=2)
-    vals = radial(radii)
-    centre = vals[:, :1]
-    diag = (vals[:, 1:1 + 2 * d:2] - 2.0 * centre
-            + vals[:, 2:2 + 2 * d:2]) / (h * h)
-    q = vals[:, 1 + 2 * d:].reshape(n, -1, 4)
-    cross = (q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3]) / (4.0 * h * h)
-    # each off-diagonal entry appears twice in the symmetric Hessian
-    return np.sqrt((diag ** 2).sum(axis=1) + 2.0 * (cross ** 2).sum(axis=1))
 
 
 def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
@@ -225,26 +204,29 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
     substitutes any other radial function, e.g. rho**2/2 as a non-decaying
     control whose exact value is ball_volume(d) * r * sqrt(d).
 
-    Directions are uniform on the sphere.  Radii are stratified uniformly
-    on [0, r], one per stratum of width r/n, and each point is weighted by
-    rho^(d-1), its share of the ball's volume; the weights are normalized,
-    so a constant |Hessian| is reproduced exactly.  Sampling the ball
-    uniformly instead leaves the thin shells near the origin and the unit
-    sphere, where the bump's Hessian is largest, to rare draws.
+    A radial h(rho) has |Hessian|_F = sqrt(h''^2 + (d-1) (h'/rho)^2): h''
+    along x and h'/rho across it.  One call of ``radial_fn`` on |rho-h|, rho
+    and rho+h (the profile is even) gives both as central differences with
+    step _FD_STEP.  Radii are stratified uniformly on [0, r], one per
+    stratum of width r/n, and each is weighted by rho^(d-1), its share of
+    the ball's volume; the weights are normalized, so a constant |Hessian|
+    is reproduced exactly.  Sampling the ball uniformly instead leaves the
+    thin shells near the origin and the unit sphere, where the bump's
+    Hessian is largest, to rare draws.
     """
     _check_dim(d)
     if not 2 < r < np.inf:
         raise ValueError("radius must exceed 2 and be finite")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    _check_count(n_samples)
     if radial_fn is None:
         def radial_fn(radii):
             return _bump_radial(radii, d)
     rng = np.random.Generator(np.random.Philox(seed))
-    u = _sphere_samples(rng, n_samples, d)
-    radii = r * (np.arange(n_samples) + rng.random(n_samples)) / n_samples
-    points = u * radii[:, None]
-    norms = _fd_hessian_norms(radial_fn, points, _FD_STEP)
+    rho = r * (np.arange(n_samples) + rng.random(n_samples)) / n_samples
+    h = _FD_STEP
+    lo, mid, hi = radial_fn(np.abs(rho + np.array([[-h], [0.0], [h]])))
+    norms = np.hypot((lo - 2.0 * mid + hi) / (h * h),
+                     np.sqrt(d - 1) * (hi - lo) / (2.0 * h * rho))
     # (1/r^(d-1)) * V_d r^d * weighted mean = V_d * r * weighted mean
     return float(ball_volume(d) * r
-                 * np.average(norms, weights=radii ** (d - 1)))
+                 * np.average(norms, weights=rho ** (d - 1)))

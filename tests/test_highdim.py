@@ -278,6 +278,13 @@ class TestBump:
             bump_eval(1.5, d)
         assert bump_eval(1.5, np.int64(3)) == bump_eval(1.5, 3)
 
+    @pytest.mark.parametrize("x,d", [(np.ones(3), 5), (np.ones(3), 2),
+                                     (np.ones((2, 2)), None),
+                                     (np.ones((2, 2)), 4)])
+    def test_rejects_dimension_mismatch(self, x, d):
+        with pytest.raises(ValueError, match="input dimension mismatch"):
+            bump_eval(x, d)
+
 
 class TestHessianDecay:
     def test_quadratic_control_case(self):
@@ -335,10 +342,38 @@ class TestHessianDecay:
         est = hessian_decay_estimate(d, r, n, seed=seed,
                                      radial_fn=lambda rr: rr ** 4 / 4)
         rng = np.random.Generator(np.random.Philox(seed))
-        g = rng.standard_normal((n, d))
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        points = u * (r * (np.arange(n) + rng.random(n)) / n)[:, None]
-        rho = np.linalg.norm(points, axis=1)
+        rho = r * (np.arange(n) + rng.random(n)) / n
         exact = ball_volume(d) * r * np.average(rho ** 2 * np.sqrt(d + 8),
                                                 weights=rho ** (d - 1))
         assert est == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("d,tol", [(2, 1e-2), (3, 1e-3), (5, 1e-4)])
+    @pytest.mark.parametrize("r", [4.0, 10.0])
+    def test_bump_exact_mass(self, d, tol, r):
+        # M(r) = (A_d / r^(d-1)) int_0^r rho^(d-1) |H|_F drho, with
+        # |H|_F = sqrt(h''^2 + (d-1) (h'/rho)^2), s = min(1, rho^-2),
+        # S = area(S^{d-2}), h' = (2S/(d-1)) ((1-s)^((d-1)/2) - 1) and
+        # h'' = 2S rho^-3 (1-s)^((d-3)/2) outside the unit ball, 0 inside
+        S = sphere_area(d - 1)
+
+        def integrand(rho):
+            s = min(1.0, rho ** -2)
+            h1 = (2 * S / (d - 1)) * ((1 - s) ** ((d - 1) / 2) - 1)
+            h2 = 2 * S * rho ** -3 * (1 - s) ** ((d - 3) / 2) if rho > 1 else 0
+            return rho ** (d - 1) * np.hypot(h2, np.sqrt(d - 1) * h1 / rho)
+
+        total = sum(quad(integrand, a, b, epsabs=0, epsrel=1e-12, limit=200)[0]
+                    for a, b in ((0.0, 1.0), (1.0, r)))
+        exact = sphere_area(d) * total / r ** (d - 1)
+        for seed in range(8):
+            est = hessian_decay_estimate(d, r, 10_000, seed=seed)
+            assert est == pytest.approx(exact, rel=tol)
+
+
+@pytest.mark.parametrize("n", [np.nan, 10.5, 1])
+@pytest.mark.parametrize("estimate", [
+    lambda n: laplacian_flux_estimate(AtomMeasureDD((), 0.0, 2), 10.0, n),
+    lambda n: hessian_decay_estimate(3, 10.0, n)], ids=["flux", "decay"])
+def test_estimators_reject_bad_sample_count(estimate, n):
+    with pytest.raises(ValueError):
+        estimate(n)
