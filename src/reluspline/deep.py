@@ -14,6 +14,7 @@ Chains are evaluated batched: matrix j of every chain is stacked into one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -22,31 +23,21 @@ from ._value import Value, frozen
 _UNIT_TOL = 1e-12
 
 
-def _check_chain(shapes, depth, first):
-    """Shapes m x d, then m x m repeated, then 1 x m (single 1 x d when L=2)."""
-    m, d = first
-    if len(shapes) != depth:
-        raise ValueError("all subnets must have the same depth")
-    if depth == 1 and shapes[0][0] != 1:
-        raise ValueError("single-matrix subnet must have one output row")
-    if depth > 1 and shapes[0] != first:
-        raise ValueError(f"first matrix must be {m}x{d}")
-    if any(shape != (m, m) for shape in shapes[1:-1]):
-        raise ValueError(f"middle matrices must be {m}x{m}")
-    if depth > 1 and shapes[-1] != (1, m):
-        raise ValueError(f"last matrix must be 1x{m}")
-    if shapes[0] != first:
-        raise ValueError("inconsistent first-layer shape")
-
-
 def _stack_layers(subnets) -> tuple[np.ndarray, ...]:
-    """Matrix j of every chain as one read-only (k, rows, cols) array."""
-    chains = [tuple(np.atleast_2d(np.asarray(w, dtype=float)) for w in s)
-              for s in subnets]
-    # each distinct shape pattern once, in order of first appearance
-    for shapes in dict.fromkeys(tuple(w.shape for w in s) for s in chains):
-        _check_chain(shapes, len(chains[0]), chains[0][0].shape)
-    layers = tuple(np.stack(layer) for layer in zip(*chains))
+    """Matrix j of every chain as one read-only (k, rows, cols) array;
+    numpy rejects a layer whose shape differs between chains."""
+    depths = {len(s) for s in subnets}
+    if len(depths) > 1 or 0 in depths:
+        raise ValueError("all subnets must have the same nonzero depth")
+    layers = tuple(np.array(layer, dtype=float) for layer in zip(*subnets))
+    if any(w.ndim != 3 for w in layers):
+        raise ValueError("subnet matrices must be 2-D")
+    shapes = [w.shape[1:] for w in layers]
+    m = shapes[0][0] if shapes else 1
+    # rows m, ..., m, 1, each matrix taking the m outputs of the one before
+    if shapes and shapes[-1][0] != 1 or len(shapes) > 1 and shapes[1:] != (
+            [(m, m)] * (len(shapes) - 2) + [(1, m)]):
+        raise ValueError("subnet shapes must be m x d, m x m, ..., 1 x m")
     for w in layers:
         if not np.all(np.isfinite(w)):
             raise ValueError("non-finite weight matrix")
@@ -66,6 +57,8 @@ def _chain_values(layers, X) -> np.ndarray:
     if not layers:
         return np.zeros((X.shape[0], 0))
     k, m, d = layers[0].shape
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError("input dimension mismatch")
     z = np.maximum(layers[0].reshape(k * m, d) @ X.T, 0.0).reshape(k, m, -1)
     for w in layers[1:]:
         z = np.maximum(w @ z, 0.0)
@@ -125,7 +118,7 @@ class SphereFactoredNet(ParallelDeepNet):
 def parallel_eval(net, x) -> float:
     """Sum over subnets of the top coefficient times the ReLU chain value."""
     x = np.asarray(x, dtype=float)
-    if net.layers and x.shape != (net.input_dim,):
+    if x.ndim != 1:
         raise ValueError("input dimension mismatch")
     return float(net.top @ _chain_values(net.layers, x)[0])
 
@@ -167,6 +160,8 @@ def from_alpha(s: SphereFactoredNet) -> ParallelDeepNet:
 
 def bridge_penalty(alpha, L: int) -> float:
     """Sum of |alpha_i|^(2/L); the sparsity-inducing penalty equivalent to cost_CL."""
+    if not isinstance(L, Integral):
+        raise ValueError("depth must be an integer")
     if L < 2:
         raise ValueError("depth must be at least 2")
     a = np.asarray(alpha, dtype=float)

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not (isinstance(self.max_steps, Integral) and self.max_steps >= 0):
             raise ValueError("max_steps must be a nonnegative integer")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
         if not 0 <= self.init_scale < np.inf:
             raise ValueError("init_scale must be nonnegative and finite")
         if not 0 <= self.stop_grad_norm < np.inf:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluspline import cli, net2, pwl, spline
+from reluspline import cli, deep, net2, pwl, spline
 from reluspline.net2 import TwoLayerNet
 
 
@@ -130,6 +130,13 @@ class TestTrain2Command:
                        "--init-scale", "2.0"])
         assert rc == 3
 
+    def test_negative_seed_is_a_validation_error(self, tent_dataset, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["train2", tent_dataset, "--k", "2", "--seed", "-1"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
 
 class TestExtractCommand:
     def test_single_unit(self, tmp_path, capsys):
@@ -155,13 +162,23 @@ class TestDepthCommand:
             out["bridge_penalty"], abs=1e-10)
 
     def test_file_input(self, tmp_path, capsys):
-        cli.main(["depth", "--random", "2", "1", "3", "1",
-                  "--output", str(tmp_path / "r.json")])
-        assert cli.main(["depth", "--random", "2", "1", "3", "1"]) == 0
+        net = cli._random_deep_net(3, 2, 4, 1)
+        path = tmp_path / "net.json"
+        path.write_text(net.to_json())
+        assert cli.main(["depth", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
-        # depth-2 bridge penalty is the l1 norm of the coefficients
-        assert out["bridge_penalty"] == pytest.approx(
-            np.abs(out["alpha"]).sum())
+        alpha = deep.align_to_sphere(net).alpha
+        assert out["depth"] == 3 and out["subnets"] == 4
+        assert out["cost_CL"] == deep.cost_CL(net)
+        assert out["bridge_penalty"] == deep.bridge_penalty(alpha, 3)
+        assert out["alpha"] == alpha.tolist()
+
+    @pytest.mark.parametrize("subnets", [[[]], [[[0.6, 0.8]]]],
+                             ids=["empty-chain", "1-D-matrix"])
+    def test_malformed_net_file(self, tmp_path, capsys, subnets):
+        path = write(tmp_path / "net.json", {"subnets": subnets, "top": [1.0]})
+        assert cli.main(["depth", path]) == cli.EXIT_VALIDATION
+        assert "invalid deep-net file" in capsys.readouterr().err
 
     def test_missing_source(self, capsys):
         assert cli.main(["depth"]) == 2

@@ -63,6 +63,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParallelDeepNet(((np.ones((2, 2)),),), [1.0])
 
+    @pytest.mark.parametrize("subnets", [
+        ((),),
+        ((np.ones(2),),),
+        ((np.ones((2, 2)), np.ones((1, 2))), (np.ones((1, 2)),)),
+        ((np.ones((2, 2)), np.ones((1, 2))),
+         (np.ones((3, 2)), np.ones((1, 3)))),
+        ((np.ones((2, 2)), np.ones((3, 2)), np.ones((1, 3))),),
+        ((np.ones((2, 2)), np.ones((1, 3))),),
+    ], ids=["empty-chain", "1-D-matrix", "depth-mismatch", "chains-differ",
+            "middle-not-square", "last-not-1xm"])
+    def test_rejects_bad_chain_shapes(self, subnets):
+        with pytest.raises(ValueError):
+            ParallelDeepNet(subnets, np.ones(len(subnets)))
+
+    def test_no_chains_reports_depth_two(self):
+        net = ParallelDeepNet((), [])
+        assert net.depth == 2 and net.input_dim == 0
+
     def test_sphere_net_requires_unit_norm(self):
         with pytest.raises(ValueError):
             SphereFactoredNet(((2.0 * np.ones((1, 2)),),), [1.0])
@@ -106,6 +124,17 @@ class TestEval:
         net = random_net(rng, 3, 2, 1, 3)
         with pytest.raises(ValueError):
             parallel_eval(net, np.zeros(2))
+
+    @pytest.mark.parametrize("call", [
+        lambda s, X: parallel_eval(s, X[0]), sparsify_support,
+        improving_direction], ids=["parallel_eval", "sparsify_support",
+                                   "improving_direction"])
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2, 4, 3)],
+                             ids=["narrow", "wide", "3-D"])
+    def test_input_dimension_mismatch_message(self, call, shape):
+        s = align_to_sphere(random_net(np.random.default_rng(45), 3, 2, 6, 3))
+        with pytest.raises(ValueError, match="input dimension mismatch"):
+            call(s, np.zeros(shape))
 
 
 class TestBatchedKernel:
@@ -275,6 +304,14 @@ class TestBridgePenalty:
     def test_rejects_shallow(self):
         with pytest.raises(ValueError):
             bridge_penalty([1.0], 1)
+
+    @pytest.mark.parametrize("L", [2.5, 3.0, np.nan, "3"])
+    def test_rejects_non_integer_depth(self, L):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            bridge_penalty([1.0, 2.0], L)
+
+    def test_numpy_integer_depth(self):
+        assert bridge_penalty([8.0], np.int64(3)) == pytest.approx(4.0)
 
 
 class TestSparsify:

@@ -238,6 +238,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="nonnegative integer"):
             TrainConfig(max_steps=steps)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, np.nan, "3"])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError,
+                           match="seed must be a nonnegative integer"):
+            TrainConfig(seed=seed)
+
     def test_numpy_integer_max_steps(self):
         cfg = TrainConfig(max_steps=np.int64(5))
         d = Dataset(((0.0, 1.0), (1.0, 3.0)))
