@@ -46,9 +46,16 @@ def _stack_layers(subnets) -> tuple[np.ndarray, ...]:
 
 
 def _norms(w) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack, one dot product each."""
+    """Frobenius norm of each matrix in a stack, one dot product each.
+
+    Each matrix is first divided by 2^e, e the exponent of its largest
+    |entry|, so its sum of squares neither overflows nor vanishes; the
+    scaling is exact.
+    """
     v = w.reshape(len(w), -1)
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    e = np.frexp(np.abs(v).max(axis=1, initial=0.0))[1]
+    v = np.ldexp(v, -e[:, None])
+    return np.ldexp(np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0]), e)
 
 
 def _chain_values(layers, X) -> np.ndarray:
@@ -143,7 +150,11 @@ def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
         unit[dead] = 0.0
         unit[dead, 0, 0] = 1.0
         units.append(unit)
-    alpha = np.where(dead, 0.0, net.top * np.prod(norms, axis=0))
+    # top * prod(norms) with the exponents of the norms summed apart, so
+    # that a product of huge norms cannot overflow before top scales it
+    frac, exp = np.frexp(norms)
+    alpha = np.where(dead, 0.0, np.ldexp(net.top * np.prod(frac, axis=0),
+                                         exp.sum(axis=0)))
     return SphereFactoredNet(tuple(zip(*units)), alpha)
 
 

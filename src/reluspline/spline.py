@@ -44,6 +44,8 @@ class Dataset(Value):
         agree with its y to 1e-12 (1 + max |y|).
         """
         points = tuple(points)
+        if not points:
+            raise ValueError("dataset needs at least one point")
         if list(map(len, points)).count(2) != len(points):
             raise ValueError("dataset points must be (x, y) pairs")
         flat = np.fromiter(chain.from_iterable(points), float, 2 * len(points))

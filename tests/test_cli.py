@@ -76,6 +76,12 @@ class TestInterpCommand:
                      {"points": [[0.0, 0.0], [0.0, 1.0]]})
         assert cli.main(["interp", path]) == 2
 
+    def test_empty_points(self, tmp_path, capsys):
+        path = write(tmp_path / "empty.json", {"points": []})
+        assert cli.main(["interp", path]) == 2
+        assert ("invalid dataset file: dataset needs at least one point"
+                in capsys.readouterr().err)
+
 
 class TestTrain2Command:
     def test_end_to_end(self, tent_dataset, tmp_path, capsys, monkeypatch):

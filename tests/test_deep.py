@@ -234,6 +234,17 @@ class TestAlignment:
         assert s.alpha[0] == pytest.approx(6.0)
         assert np.allclose(s.subnets[0][0], [[1.0, 0.0]])
 
+    @pytest.mark.parametrize("entry, top, want", [(1e200, 1e-300, 1e100),
+                                                  (1e-200, 1e300, 1e-100)])
+    def test_extreme_entries_keep_alpha(self, entry, top, want):
+        # squares of 1e200 overflow (a RuntimeWarning, which the suite makes
+        # an error) and squares of 1e-200 vanish, taking the chain for dead;
+        # either way alpha is sqrt(2) * top * entry^3
+        net = ParallelDeepNet.from_dict(
+            {"subnets": [[[[entry, entry]], [[entry]]]], "top": [top]})
+        alpha = align_to_sphere(net).alpha[0]
+        assert alpha == pytest.approx(np.sqrt(2.0) * want, rel=1e-15, abs=0)
+
     def test_zero_subnet_gets_zero_alpha(self):
         net = ParallelDeepNet(((np.zeros((1, 2)),),), [3.0])
         assert align_to_sphere(net).alpha[0] == 0.0

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta, betainc
 
-from reluspline.highdim import (AtomMeasureDD, _bump_radial, ball_volume,
-                                bump_eval, eval_dd, grad_dd,
+from reluspline.highdim import (_FLUX_BATCH, AtomMeasureDD, _bump_radial,
+                                ball_volume, bump_eval, eval_dd, grad_dd,
                                 hessian_decay_estimate,
                                 laplacian_flux_estimate, sphere_area)
 
@@ -180,6 +180,34 @@ class TestFluxEstimate:
         exact = float(m @ (1.0 - t * t) ** ((d - 1) / 2))
         est = laplacian_flux_estimate(a, r, 200_000, seed=d)
         assert abs(est.value - exact) < 4 * est.std_error
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 1000.0])
+    def test_matches_reference_loop(self, d, r):
+        # the sign test r <u,w> + b > 0 and a flux summed per atom with its
+        # mass, scaled afterwards, on the estimator's Philox stream; 10 001
+        # samples end on a short batch, and the atoms at b = +-1.5 r are
+        # active on the whole sphere or nowhere
+        rng = np.random.default_rng([6, d, int(10 * r)])
+        w = rng.standard_normal((7, d))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        b = np.append(rng.uniform(-1.2 * r, 1.2 * r, 5), (1.5 * r, -1.5 * r))
+        m = rng.uniform(0.2, 2.0, 7) * np.array([1, -1, 1, -1, 1, -1, 1])
+        a = AtomMeasureDD(tuple(zip(map(tuple, w), b, m)), 0.0, d)
+        n = 10_001
+        stream = np.random.Generator(np.random.Philox(3))
+        scale = sphere_area(d) / ball_volume(d - 1)
+        vals = []
+        for done in range(0, n, _FLUX_BATCH):
+            g = stream.standard_normal((min(_FLUX_BATCH, n - done), d))
+            proj = (g / np.linalg.norm(g, axis=1, keepdims=True)) @ w.T
+            vals.append(scale * np.einsum("nk,nk->n", (r * proj + b > 0.0) * m,
+                                          proj))
+        vals = np.concatenate(vals)
+        est = laplacian_flux_estimate(a, r, n, seed=3)
+        sd = vals.std() / n ** 0.5
+        assert est.value == pytest.approx(vals.mean(), rel=1e-12, abs=0)
+        assert est.std_error == pytest.approx(sd, rel=1e-12, abs=0)
 
 
 class TestBump:

@@ -407,9 +407,11 @@ def reference_dataset(points):
     """Dataset's former point-by-point construction: sort the (x, y)
     tuples, then keep the first pair at each x and check the rest against it."""
     pts = sorted((float(x), float(y)) for x, y in points)
+    if not pts:
+        raise ValueError("dataset needs at least one point")
     if not np.isfinite(pts).all():
         raise ValueError("dataset points must be finite")
-    yscale = 1.0 + max((abs(y) for _, y in pts), default=0.0)
+    yscale = 1.0 + max(abs(y) for _, y in pts)
     merged = []
     for x, y in pts:
         if merged and x == merged[-1][0]:
@@ -493,7 +495,7 @@ values = st.one_of(
     nets(), measures(), nets().map(to_pwl), nets().map(extract_u),
     nets().map(lambda net: repcost.representation_cost(to_pwl(net))),
     deep_nets(), deep_nets().map(align_to_sphere), dd_measures(),
-    st.lists(st.tuples(finite, finite), max_size=50,
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=50,
              unique_by=lambda p: p[0]).map(Dataset))
 
 # one of each type, holding 0.0 in arrays and in scalars

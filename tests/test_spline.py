@@ -47,7 +47,8 @@ class TestDataset:
             d.xs[0] = 5.0
         assert d.to_dict() == {"points": [[0.0, 3.0], [2.0, 1.0]]}
         assert d == Dataset(((0.0, 3.0), (2.0, 1.0)))
-        assert Dataset(()).xs.shape == Dataset(()).ys.shape == (0,)
+        with pytest.raises(ValueError, match="at least one point"):
+            Dataset(())
 
     @pytest.mark.parametrize("points", [((1.0, 2.0, 3.0),), ((1.0,),),
                                         ((0.0, 1.0), (1.0, 2.0, 3.0), (2.0,))])
