@@ -6,6 +6,9 @@ ints, enums, read-only float arrays or tuples of these.  ``==`` compares the
 fields, arrays by value, and the hash agrees with it, -0.0 and 0.0 included.
 ``to_dict`` keys the fields by name, writing arrays and tuples as lists and
 enums as their value; ``from_dict(d)`` is ``cls(**d)``.
+
+``check_integer`` is the one check of every integer input: widths, counts,
+depths, dimensions and seeds.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import fields
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +26,18 @@ def frozen(values) -> np.ndarray:
     a = np.array(values, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def check_integer(n, name: str, least: int) -> int:
+    """``n`` as an int, or a ValueError naming ``name`` unless ``n`` is an
+    integer of at least ``least``."""
+    if least == 0 and not (isinstance(n, Integral) and n >= 0):
+        raise ValueError(f"{name} must be a nonnegative integer")
+    if not isinstance(n, Integral):
+        raise ValueError(f"{name} must be an integer")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(n)
 
 
 def _plain(v):

@@ -1,7 +1,7 @@
 """Command-line drivers: cost reports, interpolation, training runs, sweeps.
 
-Exit codes: 0 success, 1 usage error, 2 validation or oracle failure,
-3 numerical divergence.
+Exit codes: 0 success, 1 usage error, 2 validation or oracle failure or
+a result that is not a finite number, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class ValidationFailure(ValueError):
-    pass
-
-
 def _load(cls, path: str, what: str):
     """``cls.from_dict`` of the JSON file at ``path``; ``what`` names the
     file kind in the error message."""
@@ -40,15 +36,19 @@ def _load(cls, path: str, what: str):
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationFailure(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return cls.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"invalid {what} file: {exc}") from exc
+        raise ValueError(f"invalid {what} file: {exc}") from exc
 
 
 def _emit(payload, path: str | None):
-    text = json.dumps(payload, indent=2)
+    """Write ``payload`` as strict JSON; NaN or inf raises before any write."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"a result is not a finite number ({exc})") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -95,7 +95,7 @@ def _cmd_interp(args):
         payload["oracle_value"] = oracle[2]
         if abs(oracle[2] - res.cost) > 1e-9:
             _emit(payload, args.output)
-            raise ValidationFailure(
+            raise ValueError(
                 f"solver value {res.cost} disagrees with oracle {oracle[2]}")
     if args.trace_grid:
         xs = np.linspace(d.xs.min() - 1.0, d.xs.max() + 1.0, args.trace_grid)
@@ -163,10 +163,10 @@ def _cmd_depth(args):
     elif args.random:
         L, m, k, seed = args.random
         if L < 2 or m < 1 or k < 1:
-            raise ValidationFailure("--random needs L >= 2, m >= 1, k >= 1")
+            raise ValueError("--random needs L >= 2, m >= 1, k >= 1")
         net = _random_deep_net(L, m, k, seed)
     else:
-        raise ValidationFailure("provide a net file or --random L m k seed")
+        raise ValueError("provide a net file or --random L m k seed")
     s = deep.align_to_sphere(net)
     report = deep.check_alignment(net)
     realigned = deep.from_alpha(s)

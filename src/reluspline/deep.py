@@ -14,11 +14,10 @@ Chains are evaluated batched: matrix j of every chain is stacked into one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from ._value import Value, frozen
+from ._value import Value, check_integer, frozen
 
 _UNIT_TOL = 1e-12
 
@@ -131,9 +130,10 @@ def parallel_eval(net, x) -> float:
 
 
 def cost_CL(net: ParallelDeepNet) -> float:
-    """Squared weight norm averaged over the L layers."""
-    return (float(net.top @ net.top)
-            + sum(float(np.sum(w * w)) for w in net.layers)) / net.depth
+    """Squared weight norm averaged over the L layers; inf if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(net.top @ net.top)
+                + sum(float(np.sum(w * w)) for w in net.layers)) / net.depth
 
 
 def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
@@ -171,10 +171,7 @@ def from_alpha(s: SphereFactoredNet) -> ParallelDeepNet:
 
 def bridge_penalty(alpha, L: int) -> float:
     """Sum of |alpha_i|^(2/L); the sparsity-inducing penalty equivalent to cost_CL."""
-    if not isinstance(L, Integral):
-        raise ValueError("depth must be an integer")
-    if L < 2:
-        raise ValueError("depth must be at least 2")
+    check_integer(L, "depth", 2)
     a = np.asarray(alpha, dtype=float)
     return float(np.sum(np.abs(a) ** (2.0 / L)))
 
@@ -187,7 +184,8 @@ class AlignmentReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.deviations, default=0.0)
+        """The largest deviation; NaN if any is NaN, which ``max`` can skip."""
+        return float(np.max(self.deviations, initial=0.0))
 
     @property
     def aligned(self) -> bool:
@@ -195,10 +193,12 @@ class AlignmentReport:
 
 
 def check_alignment(net: ParallelDeepNet) -> AlignmentReport:
-    """Max - min of the per-layer squared norms within each subnet."""
-    sq = np.array([np.sum(w * w, axis=(1, 2)) for w in net.layers]
-                  + [net.top * net.top])
-    return AlignmentReport(tuple((sq.max(axis=0) - sq.min(axis=0)).tolist()))
+    """Max - min of the per-layer squared norms within each subnet; inf or
+    NaN where a square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.array([np.sum(w * w, axis=(1, 2)) for w in net.layers]
+                      + [net.top * net.top])
+        return AlignmentReport(tuple(np.ptp(sq, axis=0).tolist()))
 
 
 def _null_vector(m: np.ndarray) -> np.ndarray:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from ._value import Value, frozen
+from ._value import Value, check_integer, frozen
 
 _UNIT_TOL = 1e-12
 # Flux samples per batch.  Its temporaries (a 480 kB peak at d=2, 5 atoms)
@@ -26,20 +25,6 @@ _FLUX_BATCH = 4096
 # Finite-difference step of the Hessian estimate.  Float cancellation in the
 # second difference grows like eps / h^2, so it must not be much smaller.
 _FD_STEP = 1e-2
-
-
-def _check_dim(d) -> None:
-    if not isinstance(d, Integral):
-        raise ValueError("dimension must be an integer")
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-
-
-def _check_count(n) -> None:
-    if not isinstance(n, Integral):
-        raise ValueError("sample count must be an integer")
-    if n < 2:
-        raise ValueError("need at least two samples")
 
 
 def ball_volume(m: int) -> float:
@@ -65,7 +50,7 @@ class AtomMeasureDD(Value):
     d: int = 2
 
     def __post_init__(self):
-        _check_dim(self.d)
+        object.__setattr__(self, "d", check_integer(self.d, "dimension", 2))
         rows = [np.hstack(atom) for atom in self.atoms]
         if any(row.size != self.d + 2 for row in rows):
             raise ValueError("atom direction has wrong dimension")
@@ -77,7 +62,6 @@ class AtomMeasureDD(Value):
             raise ValueError("atom directions must be unit vectors")
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", int(self.d))
 
     def directions(self) -> np.ndarray:
         return self.atoms[:, :-2]
@@ -122,7 +106,8 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
     nonnegative measure tends to its total mass as r grows."""
     if not 0 < r < np.inf:
         raise ValueError("radius must be positive and finite")
-    _check_count(n_samples)
+    check_integer(n_samples, "sample count", 2)
+    check_integer(seed, "seed", 0)
     d = source.d
     w, b, m = source.directions(), source.biases(), source.masses()
     rng = np.random.Generator(np.random.Philox(seed))
@@ -190,7 +175,7 @@ def bump_eval(x, d: int | None = None) -> float:
         if x.ndim != 1 or x.size != d:
             raise ValueError("input dimension mismatch")
         r = float(np.hypot.reduce(x))  # no overflow at huge |x|
-    _check_dim(d)
+    check_integer(d, "dimension", 2)
     if not np.isfinite(r):
         raise ValueError("bump argument must be finite")
     return float(_bump_radial(r, d))
@@ -214,10 +199,11 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
     thin shells near the origin and the unit sphere, where the bump's
     Hessian is largest, to rare draws.
     """
-    _check_dim(d)
+    check_integer(d, "dimension", 2)
     if not 2 < r < np.inf:
         raise ValueError("radius must exceed 2 and be finite")
-    _check_count(n_samples)
+    check_integer(n_samples, "sample count", 2)
+    check_integer(seed, "seed", 0)
     if radial_fn is None:
         def radial_fn(radii):
             return _bump_radial(radii, d)

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from . import pwl
-from ._value import Value, frozen
+from ._value import Value, check_integer, frozen
 from .pwl import AtomList1D, PwlFunction
 
 
@@ -61,10 +60,8 @@ class TrainConfig:
             raise ValueError("lam must be nonnegative and finite")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not (isinstance(self.max_steps, Integral) and self.max_steps >= 0):
-            raise ValueError("max_steps must be a nonnegative integer")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise ValueError("seed must be a nonnegative integer")
+        check_integer(self.max_steps, "max_steps", 0)
+        check_integer(self.seed, "seed", 0)
         if not 0 <= self.init_scale < np.inf:
             raise ValueError("init_scale must be nonnegative and finite")
         if not 0 <= self.stop_grad_norm < np.inf:
@@ -169,10 +166,8 @@ def init(k: int, cfg: TrainConfig) -> TwoLayerNet:
     """Seeded uniform init in [-init_scale, init_scale] for all parameters."""
     rng = np.random.default_rng(cfg.seed)
     s = cfg.init_scale
-    def draw(n):
-        return rng.uniform(-s, s, size=n)
-
-    return TwoLayerNet(draw(k), draw(k), draw(k), float(rng.uniform(-s, s)))
+    w1, b1, w2 = rng.uniform(-s, s, size=(3, check_integer(k, "k", 0)))
+    return TwoLayerNet(w1, b1, w2, float(rng.uniform(-s, s)))
 
 
 def _pack(net: TwoLayerNet) -> np.ndarray:

@@ -66,16 +66,8 @@ class AtomList1D(Value):
             raise ValueError("atom masses must be nonzero")
         object.__setattr__(self, "atoms", a)
 
-    @property
-    def locations(self) -> np.ndarray:
-        return self.atoms[:, 0]
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self.atoms[:, 1]
-
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return float(self.atoms[:, 1].sum())
 
 
 def _raw_values(f: PwlFunction, x: np.ndarray) -> np.ndarray:

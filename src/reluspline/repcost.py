@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import pwl
-from ._value import Value
+from ._value import Value, check_integer
 from .net2 import TwoLayerNet
 from .pwl import PwlFunction
 
@@ -167,10 +166,7 @@ def discretize_smooth(fpp, support, n_atoms: int, end_slope_left: float,
         raise ValueError(f"support bounds must be finite, got [{a}, {b}]")
     if a >= b:
         raise ValueError(f"invalid support [{a}, {b}]")
-    if not isinstance(n_atoms, Integral):
-        raise ValueError("n_atoms must be an integer")
-    if n_atoms < 2:
-        raise ValueError("n_atoms must be at least 2")
+    check_integer(n_atoms, "n_atoms", 2)
     db = (b - a) / n_atoms
     locs = a + (np.arange(n_atoms) + 0.5) * db
     masses = np.array([fpp(x) for x in locs], dtype=float) * db

@@ -82,6 +82,16 @@ class TestInterpCommand:
         assert ("invalid dataset file: dataset needs at least one point"
                 in capsys.readouterr().err)
 
+    def test_grid_oracle_disagrees(self, tent_dataset, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.setattr(spline, "grid_oracle_end_slopes",
+                            lambda slopes: (1.0, -1.0, 99.0))
+        out = tmp_path / "out.json"
+        assert cli.main(["interp", tent_dataset, "--grid-oracle",
+                         "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert "disagrees with oracle 99.0" in capsys.readouterr().err
+        assert json.loads(out.read_text())["oracle_value"] == 99.0
+
 
 class TestTrain2Command:
     def test_end_to_end(self, tent_dataset, tmp_path, capsys, monkeypatch):
@@ -188,6 +198,33 @@ class TestDepthCommand:
 
     def test_missing_source(self, capsys):
         assert cli.main(["depth"]) == 2
+
+    def test_random_depth_below_two(self, capsys):
+        assert cli.main(["depth", "--random", "1", "2", "3", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--random needs L >= 2, m >= 1, k >= 1" in err
+
+    def test_overflowing_cost_is_rejected(self, tmp_path, capsys):
+        # cost_CL is about 1e400: inf as a float, and no JSON number
+        path = write(tmp_path / "net.json",
+                     {"subnets": [[[[1e200, 1e200]], [[1e200]]]],
+                      "top": [1e-300]})
+        out = tmp_path / "report.json"
+        for extra in ([], ["--output", str(out)]):
+            assert cli.main(["depth", path, *extra]) == cli.EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "a result is not a finite number" in captured.err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_emit_writes_strict_json_only(tmp_path, capsys, bad):
+    out = tmp_path / "out.json"
+    for path in (None, str(out)):
+        with pytest.raises(ValueError, match="not a finite number"):
+            cli._emit({"ok": 1.0, "nested": [[bad]]}, path)
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 class TestHighdimCommand:

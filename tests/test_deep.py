@@ -77,6 +77,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParallelDeepNet(subnets, np.ones(len(subnets)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="non-finite weight matrix"):
+            ParallelDeepNet(((np.array([[bad, 1.0]]),),), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_top(self, bad):
+        with pytest.raises(ValueError, match="non-finite top coefficient"):
+            ParallelDeepNet(((np.ones((1, 2)),),), [bad])
+
     def test_no_chains_reports_depth_two(self):
         net = ParallelDeepNet((), [])
         assert net.depth == 2 and net.input_dim == 0
@@ -225,6 +235,25 @@ class TestCost:
     def test_zero_net(self):
         net = ParallelDeepNet(((np.zeros((1, 2)),),), [0.0])
         assert cost_CL(net) == 0.0
+
+    def test_overflow_gives_inf_without_warning(self):
+        # squares of 1e200 overflow; filterwarnings turns a warning into a
+        # failure, and alpha itself stays finite
+        net = ParallelDeepNet(((np.full((1, 2), 1e200), np.array([[1e200]])),),
+                              [1e-300])
+        assert cost_CL(net) == np.inf
+        assert check_alignment(net).max_deviation == np.inf
+        assert align_to_sphere(net).alpha[0] == pytest.approx(
+            np.sqrt(2.0) * 1e100, rel=1e-15)
+
+    def test_unmeasurable_chain_is_not_aligned(self):
+        # the second chain's squares are both inf, so its spread is NaN;
+        # it must not hide behind the first chain's 0
+        net = ParallelDeepNet(((np.array([[1.0, 0.0]]),),
+                               (np.array([[1e200, 0.0]]),)), [1.0, 1e200])
+        report = check_alignment(net)
+        assert report.deviations[0] == 0.0
+        assert np.isnan(report.max_deviation) and not report.aligned
 
 
 class TestAlignment:

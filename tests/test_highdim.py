@@ -107,6 +107,13 @@ class TestGradient:
         assert np.allclose(grad_dd(a, np.array([3.0, 0.0])), [2.0, 0.0])
         assert np.allclose(grad_dd(a, np.array([-3.0, 0.0])), [0.0, 0.0])
 
+    @pytest.mark.parametrize("fn", [eval_dd, grad_dd])
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones(1), np.ones((1, 2))])
+    def test_rejects_wrong_input_dimension(self, fn, x):
+        a = AtomMeasureDD((((1.0, 0.0), 0.0, 2.0),), 0.0, 2)
+        with pytest.raises(ValueError, match="input dimension mismatch"):
+            fn(a, x)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(63)
         h = 1e-6
@@ -300,6 +307,10 @@ class TestBump:
         with pytest.raises(ValueError):
             bump_eval(np.array(x))
 
+    def test_radius_needs_dimension(self):
+        with pytest.raises(ValueError, match="d is required"):
+            bump_eval(0.5)
+
     @pytest.mark.parametrize("d", [2.5, 3.0])
     def test_rejects_non_integer_dimension(self, d):
         with pytest.raises(ValueError, match="dimension must be an integer"):
@@ -405,3 +416,14 @@ class TestHessianDecay:
 def test_estimators_reject_bad_sample_count(estimate, n):
     with pytest.raises(ValueError):
         estimate(n)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+@pytest.mark.parametrize("estimate", [
+    lambda s: laplacian_flux_estimate(AtomMeasureDD((), 0.0, 2), 10.0, 100,
+                                      seed=s),
+    lambda s: hessian_decay_estimate(3, 10.0, 10, seed=s)],
+    ids=["flux", "decay"])
+def test_estimators_reject_bad_seed(estimate, seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        estimate(seed)

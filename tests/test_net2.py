@@ -265,6 +265,11 @@ class TestInit:
         net = net2.init(0, TrainConfig(seed=0))
         assert net.k == 0
 
+    @pytest.mark.parametrize("k", [2.5, -1])
+    def test_width_must_be_nonnegative_integer(self, k):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            net2.init(k, TrainConfig())
+
     def test_scale_bound(self):
         net = net2.init(50, TrainConfig(seed=3, init_scale=0.1))
         assert np.abs(net.w1).max() <= 0.1

@@ -39,6 +39,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PwlFunction((0.0,), (0.0, np.inf), (0.0, 0.0))
 
+    def test_breakpoints_must_be_flat(self):
+        with pytest.raises(ValueError, match="must be flat sequences"):
+            PwlFunction(((0.0, 1.0),), (0.0, 1.0, 2.0), (0.0, 0.0))
+
     def test_atoms_must_increase(self):
         with pytest.raises(ValueError):
             AtomList1D(((1.0, 1.0), (1.0, 2.0)))

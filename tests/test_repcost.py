@@ -199,6 +199,11 @@ class TestDiscretizeSmooth:
             repcost.discretize_smooth(lambda x: 1.0, (0.0, 1.0), n_atoms,
                                       0.0, (0, 0))
 
+    def test_rejects_single_atom(self):
+        with pytest.raises(ValueError, match="n_atoms must be at least 2"):
+            repcost.discretize_smooth(lambda x: 1.0, (0.0, 1.0), 1, 0.0,
+                                      (0, 0))
+
     def test_numpy_integer_atom_count(self):
         alpha = repcost.discretize_smooth(lambda x: 1.0, (0.0, 1.0),
                                           np.int64(4), 0.0, (0, 0))

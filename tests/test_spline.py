@@ -353,6 +353,13 @@ class TestRegularizedFit:
         with pytest.raises(ValueError):
             spline.regularized_fit(d, "huber", 1.0)
 
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_single_point_gives_constant(self, loss):
+        res = spline.regularized_fit(Dataset(((2.0, 3.0),)), loss, 1.0)
+        assert np.array_equal(res.spline.slopes, [0.0])
+        assert pwl_eval(res.spline, -5.0) == 3.0
+        assert res.cost == 0.0 and res.gap == 0.0
+
     def test_tiny_lambda_recovers_interpolation(self):
         d = Dataset(((0, 0), (1, 1), (2, 0)))
         res = spline.regularized_fit(d, "squared", 1e-8)
