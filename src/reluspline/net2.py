@@ -3,11 +3,19 @@
 Evaluation, weight cost, per-unit rebalancing, conversion to the exact
 piecewise-linear function a net implements, extraction of the atomic second
 derivative, and deterministic full-batch gradient-descent training.
+
+Training runs in one C kernel, ``_step.c``, which ``train`` and
+``objective_and_grad`` both call.  It is compiled on first use with the
+interpreter's C compiler into ``$XDG_CACHE_HOME/reluspline`` (by default
+``~/.cache/reluspline``) and loaded with ctypes.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
+import functools
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,11 +163,9 @@ def objective_and_grad(net: TwoLayerNet, dataset, lam: float):
     the biases.  Both come from one training step at learning rate 1; the
     gradient is returned as a TwoLayerNet of the same shape.
     """
-    k = net.k
-    trace, _, g, _ = _descend(_pack(net), k, dataset.xs, dataset.ys, lam,
+    trace, _, g, _ = _descend(_pack(net), net.k, dataset.xs, dataset.ys, lam,
                               1.0, 1, 0.0)
-    g[k:3 * k] += lam * np.concatenate([net.w1, net.w2])
-    return float(trace[0, 0]), _unpack(g, k)
+    return float(trace[0, 0]), _unpack(g, net.k)
 
 
 def init(k: int, cfg: TrainConfig) -> TwoLayerNet:
@@ -171,7 +177,7 @@ def init(k: int, cfg: TrainConfig) -> TwoLayerNet:
 
 
 def _pack(net: TwoLayerNet) -> np.ndarray:
-    return np.concatenate([net.b1, net.w1, net.w2, [net.b2, -1.0]])
+    return np.concatenate([net.b1, net.w1, net.w2, [net.b2]])
 
 
 def _unpack(theta, k: int) -> TwoLayerNet:
@@ -197,121 +203,76 @@ def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
-    """Gradient descent on theta = [b1 | w1 | w2 | b2 | -1], written back in place.
+    """``_step.c``'s descent on theta = [b1 | w1 | w2 | b2], in place.
 
-    Returns the trace, the steps done, lr times the loss gradient at the
-    last iterate and the stop reason.  A step is ten numpy calls on
-    preallocated buffers and no Python-float work, since call overhead,
-    not arithmetic, is what a small net spends.  Arrays over units and
-    samples are k x n, so elementwise calls run on contiguous rows.
-
-    Scaling: the loop runs on phi = c theta with c = sqrt(2 lr).  Weight
-    decay is linear and ReLU is positive-homogeneous, so once the constant
-    rows of ``feats`` (ones and y) are scaled by c too, the residual dot
-    gives 2 lr r directly, the first-layer step needs only the 1-D product
-    x * 2 lr r, and phi <- keep * phi - c * step is the exact update.  The
-    trailing entry of phi is -c.  The squared gradient-norm threshold is
-    scaled by 2 lr; the residuals and weights are unscaled before the
-    trace squares them, and phi and the step on return, with theta's
-    trailing -1 left as it was.
-
-    Blocks: bookkeeping is one reduction per block of B steps.  Step j of
-    a block reads row j of ``hist`` and writes row j + 1.  Its residual
-    goes to row j of ``res`` and x times it to row j + 1, which the next
-    step overwrites, so rows j and j + 1 are the 2 x n factor of the
-    first-layer step.  At the end of a block ``_fill_trace`` fills its
-    trace rows and raises DivergenceError at the first non-finite
-    objective, before a grad_norm stop inside the block is reported; the
-    gradient-norm test itself is per step.  B = 2**15 // max(n, 3k + 2),
-    clipped to [1, 128] and to max_steps, so B rows of ``hist`` or of
-    ``res`` fill at most 256 KB unless a single row is larger.
+    Returns the trace, the steps done, the objective's gradient at the last
+    iterate and the stop reason, or raises DivergenceError.
     """
-    n, size, c = xs.size, theta.size, math.sqrt(2.0 * lr)
-    block = min(max(2 ** 15 // max(n, size), 1), 128, max_steps)
-    hist = np.empty((block + 1, size))
-    np.multiply(theta, c, out=hist[0])
-    res = np.empty((block + 1, n))
-    inputs = np.empty((2, n))
-    inputs[0], inputs[1] = 1.0, xs
-    feats = np.empty((k + 2, n))
-    feats[k] = c
-    np.multiply(ys, c, out=feats[k + 1])
-    act, second_feats = feats[:k], feats[:k + 1]
-    live = np.empty_like(act)
-    live_t = live.T
-    # c times lr times the loss gradient; the last entry stays 0
-    step = np.zeros(size)
-    step_first, step_second = step[:2 * k].reshape(2, k), step[2 * k:-1]
-    # theta - lr * (grad loss + lam * w) = keep * theta - step
-    shrink = np.zeros(size)
-    shrink[k:3 * k] = lr * lam
-    keep = 1.0 - shrink
-    g = np.empty(size)
-    limit = 2.0 * lr * (lr * stop) ** 2
-    rows = [(j, hist[j, :2 * k].reshape(2, k).T, hist[j, 2 * k:],
-             hist[j, 2 * k:3 * k], hist[j], hist[j + 1], res[j], res[j + 1],
-             res[j:j + 2]) for j in range(block)]
-    trace = np.empty((max_steps, 3))
-    done, last = 0, hist[0]
-    reason = "max_steps" if max_steps else "zero_steps"
-    # locals and a 0-d zero: name lookups and scalar conversions cost a step
-    maximum, sign, multiply, subtract = (np.maximum, np.sign, np.multiply,
-                                         np.subtract)
-    zero = np.zeros(())
-    # overflow is the divergence signal, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < max_steps:
-            for (j, first_t, second, w2, th, th_next, r, xr,
-                 rx) in rows[:max_steps - done]:
-                first_t.dot(inputs, out=act)
-                maximum(act, zero, out=act)
-                second.dot(feats, out=r)
-                multiply(xs, r, out=xr)
-                sign(act, out=live)  # act >= 0: its sign is the ReLU derivative
-                rx.dot(live_t, out=step_first)
-                multiply(step_first, w2, out=step_first)
-                second_feats.dot(r, out=step_second)
-                if stop:
-                    multiply(shrink, th, out=g)
-                    g += step
-                    if g.dot(g) <= limit:
-                        reason = "grad_norm"
-                        break
-                multiply(th, keep, out=th_next)
-                subtract(th_next, step, out=th_next)
-            _fill_trace(trace[done:done + j + 1], res[:j + 1],
-                        hist[:j + 1, k:3 * k], lam, lr, done)
-            done += j + 1
-            if reason == "grad_norm":
-                last = th
-                break
-            hist[0] = th_next
-    if done:
-        np.divide(last[:-1], c, out=theta[:-1])
-    return trace, done, step / c, reason
-
-
-def _fill_trace(rows, res, weights, lam, lr, first):
-    """Objective, loss and cost of a block's trace rows.
-
-    ``res`` and ``weights`` hold the block's residuals and weights as the
-    scaled loop keeps them.  Each is unscaled before it is squared, so a
-    row overflows only where the unscaled one would.  Raises
-    DivergenceError at the first row whose objective is not finite;
-    ``first`` is the step of the block's first row.
-    """
-    obj, loss, cost = rows.T
-    res /= 2.0 * lr
-    np.einsum("ij,ij->i", res, res, out=loss)
-    weights = weights / math.sqrt(2.0 * lr)
-    np.einsum("ij,ij->i", weights, weights, out=cost)
-    cost *= 0.5
-    np.multiply(cost, lam, out=obj)
-    obj += loss
-    bad = np.flatnonzero(~np.isfinite(obj))
-    if bad.size:
-        i = bad[0]
+    trace, grad = np.empty((max_steps, 3)), np.empty(theta.size)
+    done = np.zeros(1, np.int64)
+    status = _kernel()(k, xs.size, xs, ys, lam, lr, max_steps, stop, theta,
+                       grad, trace, done)
+    done = int(done[0])
+    if status == 2:
+        _, loss, cost = trace[done - 1]
         raise DivergenceError(
-            f"objective became non-finite at step {first + i} "
-            f"(loss={float(loss[i])!r}, cost={float(cost[i])!r}); "
+            f"objective became non-finite at step {done - 1} "
+            f"(loss={float(loss)!r}, cost={float(cost)!r}); "
             "reduce the learning rate")
+    reason = ("max_steps", "grad_norm")[status] if max_steps else "zero_steps"
+    return trace, done, grad, reason
+
+
+@functools.cache
+def _kernel():
+    """``descend`` from ``_step.c``, compiled on first use into a disk cache.
+
+    The cache is $XDG_CACHE_HOME/reluspline, else a per-user directory under
+    the temp directory; either must be this user's and writable by no one
+    else.  The library, named by a hash of the source and the command, is
+    built aside and renamed into place, so racing processes load whole ones.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+    import sysconfig
+
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    dirs = [os.path.join(base, "reluspline"),
+            os.path.join(tempfile.gettempdir(), f"reluspline-{os.getuid()}")]
+    for cache in dirs:
+        with contextlib.suppress(OSError):
+            os.makedirs(cache, 0o700, exist_ok=True)
+            st = os.stat(cache)
+            if (st.st_uid == os.getuid() and not st.st_mode & 0o022
+                    and os.access(cache, os.W_OK)):
+                break
+    else:
+        raise RuntimeError(f"no cache directory for the training kernel: "
+                           f"tried {' and '.join(dirs)}")
+    source = os.path.join(os.path.dirname(__file__), "_step.c")
+    # no -ffast-math and no fused multiply-add: rounding stays as written
+    cmd = (sysconfig.get_config_var("CC") or "cc").split() + [
+        "-O3", "-fPIC", "-shared", "-ffp-contract=off"]
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(cmd).encode()).hexdigest()
+    path = os.path.join(cache, f"_step-{key[:16]}.so")
+    if not os.path.exists(path):
+        with tempfile.TemporaryDirectory(dir=cache) as tmp:
+            try:
+                subprocess.run([*cmd, source, "-o", f"{tmp}/lib.so"],
+                               check=True, capture_output=True,
+                               errors="replace")
+            except (OSError, subprocess.CalledProcessError) as exc:
+                raise RuntimeError(
+                    f"training needs a C compiler: {' '.join(cmd)} failed "
+                    f"to build the kernel in {cache}: "
+                    f"{getattr(exc, 'stderr', None) or exc}") from None
+            os.replace(f"{tmp}/lib.so", path)
+    fn = ctypes.CDLL(path).descend
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64, real = ctypes.c_int64, ctypes.c_double
+    fn.argtypes = [i64, i64, f64, f64, real, real, i64, real, f64, f64, f64,
+                   np.ctypeslib.ndpointer(np.int64)]
+    fn.restype = ctypes.c_int
+    return fn

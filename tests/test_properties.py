@@ -11,7 +11,7 @@ import re
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from reluspline import pwl, repcost, spline
 from reluspline.deep import (ParallelDeepNet, SphereFactoredNet, _chain_values,
@@ -219,6 +219,38 @@ def same_function(f, g, rel=1e-12):
 
 def transformed(d, fx, fy):
     return Dataset(zip(fx(d.xs).tolist(), fy(d.ys).tolist()))
+
+
+@st.composite
+def bent_end_data(draw):
+    """2 to 12 points whose end secants sum past the interior variation.
+
+    With T the total variation of the secant slopes and sigma the sum of
+    the first and last, |sigma| - T is drawn in (0, scale], for the slopes'
+    own scale: the case where the interpolant bends an end slope.
+    """
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(seeds))
+    scale = draw(scales)
+    gaps = rng.uniform(0.5, 2.0, n - 1)
+    slopes = rng.standard_normal(n - 1) * scale
+    excess = draw(st.floats(0.0, 1.0, exclude_min=True)) * scale
+    target = draw(st.sampled_from([-1.0, 1.0])) * (
+        np.abs(np.diff(slopes)).sum() + excess)
+    slopes += 0.5 * (target - slopes[0] - slopes[-1])
+    xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    ys = np.concatenate(([0.0], np.cumsum(slopes * gaps)))
+    return Dataset(zip(xs.tolist(), ys.tolist()))
+
+
+class TestInterpolantCost:
+    @SETTINGS
+    @given(bent_end_data())
+    @example(Dataset(((0.0, 0.0), (1.0, 0.3), (2.0, 0.6))))
+    def test_reported_cost_is_the_splines_cost(self, d):
+        res = spline.min_norm_interpolant(d)
+        cost = repcost.representation_cost(res.spline).cost
+        assert abs(cost - res.cost) <= 1e-12 * res.cost
 
 
 class TestSymmetries:

@@ -402,6 +402,35 @@ class TestRegularizedFit:
                     assert loss_val + 0.3 * cost >= bound - 1e-12 * obj
 
     @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_certificate_matches_recomputed_objective(self, loss):
+        # the objective recomputed here, data loss plus lam times the
+        # representation cost of the returned spline, is the one that the
+        # reported cost and gap describe, and the solver's dual bound stays
+        # below it; the solvers see y measured from the middle of its range.
+        # At lam = 1e4 the squared-loss fit of the last set keeps a slope of
+        # about 1e-11 and reports a gap of about 1e-6; elsewhere the gap is
+        # rounding
+        solve = {"squared": spline._fit_squared,
+                 "absolute": spline._fit_absolute}[loss]
+        rng = np.random.default_rng(34)
+        cases = [(random_dataset(rng, 4, 12), float(rng.uniform(0.05, 3.0)))
+                 for _ in range(20)]
+        tilted = Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5)))
+        cases += [(tilted, 1e4), (tilted, 1e6)]
+        for d, lam in cases:
+            res = spline.regularized_fit(d, loss, lam)
+            cost = repcost.representation_cost(res.spline).cost
+            assert res.cost == pytest.approx(cost, rel=1e-12, abs=1e-15)
+            r = pwl_eval(res.spline, d.xs) - d.ys
+            objective = (float(r @ r) if loss == "squared"
+                         else float(np.abs(r).sum())) + lam * cost
+            mid = 0.5 * (d.ys.max() + d.ys.min())
+            bound = solve(d.xs, d.ys - mid, lam)[1]
+            assert bound <= objective * (1.0 + 1e-12)
+            assert res.gap == pytest.approx((objective - bound) / objective,
+                                            rel=1e-3, abs=1e-12)
+
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
     def test_constant_data_has_no_gap(self, loss):
         # the optimum is the constant itself, with objective 0: rounding in
         # the fitted values must not read as a duality gap
