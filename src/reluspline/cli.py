@@ -1,7 +1,8 @@
 """Command-line drivers: cost reports, interpolation, training runs, sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure or
-a result that is not a finite number, 3 numerical divergence.
+a result that is not a finite number, 3 numerical divergence.  ``train2``
+and ``highdim`` need a C compiler: they train or write CSVs in C (see net2).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import count
 
 import numpy as np
 
@@ -57,23 +57,20 @@ def _emit(payload, path: str | None):
 
 
 def _write_csv(path: str, header, table, numbered: bool = False):
-    """Write a table of three float columns as csv.writer would.
+    """Write a table of float columns as csv.writer would.
 
     Floats print as their shortest repr and lines end in \\r\\n.  With
     ``numbered``, each row starts with its index, under the first header.
+    ``format_table`` in ``net2._kernel`` formats the rows in C, so the
+    commands that write CSVs, ``train2`` and ``highdim``, need a C compiler.
     """
-    # Python floats: repr of a numpy scalar is "np.float64(...)".  One
-    # iterator drawn three times per row streams the cells without building
-    # a list of rows or of strings.
-    cells = map(repr, np.asarray(table, dtype=float).ravel().tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        if numbered:
-            fh.writelines(f"{i},{a},{b},{c}\r\n"
-                          for i, a, b, c in zip(count(), cells, cells, cells))
-        else:
-            fh.writelines(f"{a},{b},{c}\r\n"
-                          for a, b, c in zip(cells, cells, cells))
+    table = np.ascontiguousarray(table, dtype=float)
+    # format_table's bound; np.empty leaves the pages it never writes untouched
+    buf = np.empty(len(table) * (25 * table.shape[1] + 22), np.uint8)
+    size = net2._kernel().format_table(*table.shape, table, numbered, buf)
+    with open(path, "wb") as fh:
+        fh.write(f"{','.join(header)}\r\n".encode())
+        fh.write(buf[:size])
 
 
 def _cmd_repcost(args):

@@ -4,10 +4,10 @@ Evaluation, weight cost, per-unit rebalancing, conversion to the exact
 piecewise-linear function a net implements, extraction of the atomic second
 derivative, and deterministic full-batch gradient-descent training.
 
-Training runs in one C kernel, ``_step.c``, which ``train`` and
-``objective_and_grad`` both call.  It is compiled on first use with the
-interpreter's C compiler into ``$XDG_CACHE_HOME/reluspline`` (by default
-``~/.cache/reluspline``) and loaded with ctypes.
+Training (``descend``) and the CLI's CSV writer (``format_table``) are C, in
+``_kernel.c``, compiled on first use with the interpreter's C compiler into
+``$XDG_CACHE_HOME/reluspline`` (by default ``~/.cache/reluspline``) and
+loaded with ctypes: training, ``train2`` and ``highdim`` need a compiler.
 """
 
 from __future__ import annotations
@@ -203,15 +203,15 @@ def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
-    """``_step.c``'s descent on theta = [b1 | w1 | w2 | b2], in place.
+    """``_kernel.c``'s descent on theta = [b1 | w1 | w2 | b2], in place.
 
     Returns the trace, the steps done, the objective's gradient at the last
     iterate and the stop reason, or raises DivergenceError.
     """
     trace, grad = np.empty((max_steps, 3)), np.empty(theta.size)
     done = np.zeros(1, np.int64)
-    status = _kernel()(k, xs.size, xs, ys, lam, lr, max_steps, stop, theta,
-                       grad, trace, done)
+    status = _kernel().descend(k, xs.size, xs, ys, lam, lr, max_steps, stop,
+                               theta, grad, trace, done)
     done = int(done[0])
     if status == 2:
         _, loss, cost = trace[done - 1]
@@ -225,7 +225,7 @@ def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
 
 @functools.cache
 def _kernel():
-    """``descend`` from ``_step.c``, compiled on first use into a disk cache.
+    """The library of ``_kernel.c``, compiled on first use into a disk cache.
 
     The cache is $XDG_CACHE_HOME/reluspline, else a per-user directory under
     the temp directory; either must be this user's and writable by no one
@@ -248,15 +248,15 @@ def _kernel():
                     and os.access(cache, os.W_OK)):
                 break
     else:
-        raise RuntimeError(f"no cache directory for the training kernel: "
+        raise RuntimeError(f"no cache directory for the C kernel: "
                            f"tried {' and '.join(dirs)}")
-    source = os.path.join(os.path.dirname(__file__), "_step.c")
+    source = os.path.join(os.path.dirname(__file__), "_kernel.c")
     # no -ffast-math and no fused multiply-add: rounding stays as written
     cmd = (sysconfig.get_config_var("CC") or "cc").split() + [
         "-O3", "-fPIC", "-shared", "-ffp-contract=off"]
     with open(source, "rb") as fh:
         key = hashlib.sha256(fh.read() + " ".join(cmd).encode()).hexdigest()
-    path = os.path.join(cache, f"_step-{key[:16]}.so")
+    path = os.path.join(cache, f"_kernel-{key[:16]}.so")
     if not os.path.exists(path):
         with tempfile.TemporaryDirectory(dir=cache) as tmp:
             try:
@@ -265,14 +265,17 @@ def _kernel():
                                errors="replace")
             except (OSError, subprocess.CalledProcessError) as exc:
                 raise RuntimeError(
-                    f"training needs a C compiler: {' '.join(cmd)} failed "
-                    f"to build the kernel in {cache}: "
+                    f"training and the train2/highdim CSVs need a C compiler: "
+                    f"{' '.join(cmd)} failed to build the kernel in {cache}: "
                     f"{getattr(exc, 'stderr', None) or exc}") from None
             os.replace(f"{tmp}/lib.so", path)
-    fn = ctypes.CDLL(path).descend
+    lib = ctypes.CDLL(path)
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64, real = ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [i64, i64, f64, f64, real, real, i64, real, f64, f64, f64,
-                   np.ctypeslib.ndpointer(np.int64)]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.descend.argtypes = [i64, i64, f64, f64, real, real, i64, real, f64,
+                            f64, f64, np.ctypeslib.ndpointer(np.int64)]
+    lib.descend.restype = ctypes.c_int
+    lib.format_table.argtypes = [i64, i64, f64, ctypes.c_int,
+                                 np.ctypeslib.ndpointer(np.uint8)]
+    lib.format_table.restype = i64
+    return lib

@@ -78,7 +78,7 @@ def _raw_values(f: PwlFunction, x: np.ndarray) -> np.ndarray:
     # value at each breakpoint relative to bp[0], which also anchors seg 0
     cum = np.concatenate(([0.0], np.cumsum(sl[1:-1] * np.diff(bp))))
     seg = np.searchsorted(bp, x, side="right")
-    left = np.clip(seg - 1, 0, bp.size - 1)
+    left = np.maximum(seg - 1, 0)
     return cum[left] + sl[seg] * (x - bp[left])
 
 

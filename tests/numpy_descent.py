@@ -1,4 +1,4 @@
-"""A numpy training kernel: the oracle for ``net2``'s C kernel, ``_step.c``.
+"""A numpy training kernel: the oracle for ``net2``'s C kernel, ``_kernel.c``.
 
 ``_descend`` takes the same steps as the C kernel in numpy calls, which sum
 in another order.  It runs on theta = [b1 | w1 | w2 | b2 | -1];

@@ -107,6 +107,12 @@ class TestGradient:
         assert np.allclose(grad_dd(a, np.array([3.0, 0.0])), [2.0, 0.0])
         assert np.allclose(grad_dd(a, np.array([-3.0, 0.0])), [0.0, 0.0])
 
+    def test_atom_contributes_nothing_at_its_kink(self):
+        # x lies on the first atom's kink and inside the second's half-space
+        a = AtomMeasureDD((((1.0, 0.0), 0.0, 2.0), ((0.0, 1.0), 0.5, 3.0)),
+                          0.0, 2)
+        assert grad_dd(a, np.array([0.0, 1.0])).tolist() == [0.0, 3.0]
+
     @pytest.mark.parametrize("fn", [eval_dd, grad_dd])
     @pytest.mark.parametrize("x", [np.ones(3), np.ones(1), np.ones((1, 2))])
     def test_rejects_wrong_input_dimension(self, fn, x):
@@ -169,6 +175,11 @@ class TestFluxEstimate:
         a = AtomMeasureDD((), 0.0, 2)
         with pytest.raises(ValueError):
             laplacian_flux_estimate(a, np.nan, 100, seed=0)
+
+    def test_rejects_zero_radius(self):
+        a = AtomMeasureDD((), 0.0, 2)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            laplacian_flux_estimate(a, 0.0, 100, seed=0)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("r", [0.5, 1.5, 3.0])

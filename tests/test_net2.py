@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reluspline import net2, pwl, repcost, spline
+from reluspline import cli, net2, pwl, repcost, spline
 from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
                              balance, extract_u, net_cost, net_eval,
                              normalize_first_layer, objective_and_grad,
@@ -559,7 +559,7 @@ class TestKernelBuild:
         assert train_briefly().steps == 3
         cache = fresh_kernel / "cache" / "reluspline"
         (lib,) = self.libraries(cache)
-        assert lib.startswith("_step-") and lib.endswith(".so")
+        assert lib.startswith("_kernel-") and lib.endswith(".so")
         assert sorted(os.listdir(src)) == before
 
     @pytest.mark.parametrize("blocked", ["file", "group_writable"])
@@ -581,10 +581,16 @@ class TestKernelBuild:
         monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
             "no-such-cc -pipe" if name == "CC" else real(name)))
         cache = str(fresh_kernel / "cache" / "reluspline")
-        with pytest.raises(RuntimeError, match="no-such-cc -pipe") as err:
-            train_briefly()
-        assert cache in str(err.value)
-        assert self.libraries(cache) == []
+        # training, and the CSV writer of train2 and highdim, build the library
+        for build in (train_briefly, lambda: cli._write_csv(
+                str(fresh_kernel / "t.csv"), ["a", "b", "c"], np.zeros((1, 3)))):
+            with pytest.raises(RuntimeError, match=(
+                    "training and the train2/highdim CSVs need a C compiler: "
+                    "no-such-cc -pipe")) as err:
+                build()
+            assert cache in str(err.value)
+            assert self.libraries(cache) == []
+        assert not (fresh_kernel / "t.csv").exists()
 
     def test_processes_racing_on_a_cold_cache(self, fresh_kernel):
         env = dict(os.environ, XDG_CACHE_HOME=str(fresh_kernel / "cache"),
