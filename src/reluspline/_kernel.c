@@ -2,11 +2,14 @@
 
    theta = [b1 | w1 | w2 | b2] (k units) is updated in place.  Step t writes
    trace row t, (loss + lam * cost, loss, cost) at its iterate, and grad, laid
-   out as theta, the objective's gradient with ReLU'(0) = 0, summed one data
-   point at a time so that inner loops run over contiguous units.  Returns 2
-   at the first non-finite objective, before any stop test; 1 once stop > 0
-   and |grad| <= stop, leaving theta at that iterate; else 0 after max_steps
-   steps.  *done is the number of trace rows written. */
+   out as theta, the objective's gradient with ReLU'(0) = 0.  Points run in
+   blocks of B: residuals with units outer, B chains each adding units 0..k-1
+   in order, then the gradient a point at a time over contiguous units.  No sum
+   changes order, so the AVX2 clone that the loader picks on x86-64 glibc
+   rounds as the scalar loop does.  Returns 2 at the first non-finite
+   objective, before any stop test; 1 once stop > 0 and |grad| <= stop, leaving
+   theta at that iterate; else 0 after max_steps steps.  *done is the number of
+   trace rows written. */
 
 #include <math.h>
 #include <stdint.h>
@@ -14,34 +17,48 @@
 #include <stdlib.h>
 #include <string.h>
 
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && defined(__GLIBC__)
+#define DISPATCH __attribute__((target_clones("avx2", "default")))
+#else
+#define DISPATCH
+#endif
+enum { B = 32 };  /* data points per block */
+
+DISPATCH
 int descend(int64_t k, int64_t n, const double *xs, const double *ys,
             double lam, double lr, int64_t max_steps, double stop,
             double *theta, double *grad, double *trace, int64_t *done)
 {
     const int64_t size = 3 * k + 1;
     const double *b1 = theta, *w1 = theta + k, *w2 = theta + 2 * k;
-    double *gb1 = grad, *gw1 = grad + k, *gw2 = grad + 2 * k;
+    double *gb1 = grad, *gw1 = grad + k, *gw2 = grad + 2 * k, res[B];
     for (int64_t t = 0; t < max_steps; t++) {
         const double b2 = theta[3 * k];
         double loss = 0.0, cost = 0.0, *row = trace + 3 * t;
         memset(grad, 0, size * sizeof *grad);
-        for (int64_t j = 0; j < n; j++) {
-            const double x = xs[j];
-            double r = b2 - ys[j];
-            for (int64_t i = 0; i < k; i++) {
-                const double a = w1[i] * x + b1[i];
-                r += w2[i] * (a > 0.0 ? a : 0.0);
+        for (int64_t j0 = 0; j0 < n; j0 += B) {
+            const int64_t m = n - j0 < B ? n - j0 : B;
+            const double *x = xs + j0;
+            for (int64_t j = 0; j < m; j++)
+                res[j] = b2 - ys[j0 + j];
+            for (int64_t i = 0; i < k; i++)
+                for (int64_t j = 0; j < m; j++) {
+                    const double a = w1[i] * x[j] + b1[i];
+                    res[j] += w2[i] * (a > 0.0 ? a : 0.0);
+                }
+            for (int64_t j = 0; j < m; j++) {
+                const double xj = x[j], r = res[j], r2 = 2.0 * r;
+                for (int64_t i = 0; i < k; i++) {
+                    const double a = w1[i] * xj + b1[i];
+                    const double live_r2 = a > 0.0 ? r2 : 0.0;
+                    gb1[i] += live_r2;
+                    gw1[i] += live_r2 * xj;
+                    gw2[i] += live_r2 * a;
+                }
+                grad[3 * k] += r2;
+                loss += r * r;
             }
-            const double r2 = 2.0 * r;
-            for (int64_t i = 0; i < k; i++) {
-                const double a = w1[i] * x + b1[i];
-                const double live_r2 = a > 0.0 ? r2 : 0.0;
-                gb1[i] += live_r2;
-                gw1[i] += live_r2 * x;
-                gw2[i] += live_r2 * a;
-            }
-            grad[3 * k] += r2;
-            loss += r * r;
         }
         for (int64_t i = k; i < 3 * k; i++)
             cost += theta[i] * theta[i];

@@ -1,8 +1,9 @@
-"""A numpy training kernel: the oracle for ``net2``'s C kernel, ``_kernel.c``.
+"""Two oracles for ``net2``'s C training kernel, ``_kernel.c``.
 
 ``_descend`` takes the same steps as the C kernel in numpy calls, which sum
 in another order.  It runs on theta = [b1 | w1 | w2 | b2 | -1];
-``descend`` packs a net that way and calls it.
+``descend`` packs a net that way and calls it.  ``scalar_descend`` takes
+them in the scalar loops' own order, in Python floats.
 """
 
 import math
@@ -19,6 +20,56 @@ def descend(net, xs, ys, lam, lr, max_steps, stop=0.0):
     trace, done, _, reason = _descend(theta, net.k, np.asarray(xs),
                                       np.asarray(ys), lam, lr, max_steps, stop)
     return theta[:-1], trace[:done], done, reason
+
+
+def scalar_descend(theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
+    """The C kernel's loops transcribed in Python floats, which round as C
+    doubles do without fused multiply-add: the residual of each point adds
+    its units in order 0..k-1, and every other sum runs in index order too.
+
+    Returns the C kernel's status (0 max_steps, 1 stop, 2 non-finite
+    objective), the trace rows written, theta and the last gradient, both
+    laid out as theta = [b1 | w1 | w2 | b2].
+    """
+    theta = [float(v) for v in theta]
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
+    size, trace = 3 * k + 1, []
+    grad = [0.0] * size
+    for _ in range(max_steps):
+        b1, w1, w2, b2 = (theta[:k], theta[k:2 * k], theta[2 * k:3 * k],
+                          theta[3 * k])
+        grad = [0.0] * size
+        loss = cost = 0.0
+        for x, y in zip(xs, ys):
+            r = b2 - y
+            for i in range(k):
+                a = w1[i] * x + b1[i]
+                r += w2[i] * (a if a > 0.0 else 0.0)
+            r2 = 2.0 * r
+            for i in range(k):
+                a = w1[i] * x + b1[i]
+                live_r2 = r2 if a > 0.0 else 0.0
+                grad[i] += live_r2
+                grad[k + i] += live_r2 * x
+                grad[2 * k + i] += live_r2 * a
+            grad[3 * k] += r2
+            loss += r * r
+        for v in theta[k:3 * k]:
+            cost += v * v
+        trace.append((loss + lam * (0.5 * cost), loss, 0.5 * cost))
+        if not math.isfinite(trace[-1][0]):
+            return 2, trace, theta, grad
+        for i in range(k):
+            grad[i] *= w2[i]
+            grad[k + i] = w2[i] * grad[k + i] + lam * w1[i]
+            grad[2 * k + i] += lam * w2[i]
+        norm2 = 0.0
+        for g in grad:
+            norm2 += g * g
+        if stop > 0.0 and math.sqrt(norm2) <= stop:
+            return 1, trace, theta, grad
+        theta = [v - lr * g for v, g in zip(theta, grad)]
+    return 0, trace, theta, grad
 
 
 def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):

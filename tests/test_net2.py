@@ -1,4 +1,6 @@
+import ctypes
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -16,6 +18,7 @@ from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
 from reluspline.spline import Dataset
 
 from numpy_descent import descend as numpy_descend
+from numpy_descent import scalar_descend
 
 
 def random_net(rng, k=None):
@@ -534,6 +537,63 @@ class TestKernelMatchesNumpyOracle:
             train(net0, self.DATA, cfg)
 
 
+def raw_descend(lib, theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
+    """One ``descend`` call of a kernel library, returned as
+    ``scalar_descend`` returns it: status, trace rows, theta and gradient."""
+    theta = np.array(theta, dtype=float)
+    grad, trace = np.empty(theta.size), np.empty((max_steps, 3))
+    done = np.zeros(1, np.int64)
+    status = lib.descend(k, len(xs), np.asarray(xs, float),
+                         np.asarray(ys, float), lam, lr, max_steps, stop,
+                         theta, grad, trace, done)
+    return status, trace[:done[0]], theta, grad
+
+
+def bits(run):
+    """A run's status and the bytes of its arrays, for exact comparison."""
+    return (run[0],) + tuple(np.asarray(a, float).tobytes() for a in run[1:])
+
+
+KERNEL_SOURCE = os.path.join(os.path.dirname(net2.__file__), "_kernel.c")
+with open(KERNEL_SOURCE) as fh:
+    # the kernel's block of data points
+    BLOCK = int(re.search(r"enum \{ B = (\d+) \}", fh.read()).group(1))
+
+
+class TestKernelMatchesScalarOrder:
+    """The C kernel against its scalar loops in Python floats, bit for bit.
+
+    The kernel sums the residuals of a block of points side by side, in
+    vector lanes where the CPU has them; each still adds its units in order
+    0..k-1, so every bit matches.  Data sizes sit at the ends of blocks and
+    lanes.
+    """
+
+    def run_both(self, n, k, lr, stop=0.0, steps=100):
+        rng = np.random.default_rng([n, k])
+        xs, ys = rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)
+        theta = rng.uniform(-0.5, 0.5, 3 * k + 1)
+        args = (k, xs, ys, 1e-3, lr, steps, stop)
+        c = raw_descend(net2._kernel(), theta, *args)
+        assert bits(c) == bits(scalar_descend(theta, *args))
+        return c
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 20, 37])
+    @pytest.mark.parametrize("n", [1, 3, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 5])
+    def test_trace_theta_and_gradient(self, n, k):
+        status, trace, _, _ = self.run_both(n, k, 0.1 / max(n, 10))
+        assert (status, len(trace)) == (0, 100)
+
+    def test_grad_norm_stop(self):
+        status, trace, _, _ = self.run_both(BLOCK + 1, 20, 3e-3, stop=2.0)
+        assert (status, len(trace)) == (1, 17)
+
+    def test_divergence(self):
+        status, trace, _, _ = self.run_both(BLOCK + 1, 20, 10.0)
+        assert (status, len(trace)) == (2, 5)
+
+
 @pytest.fixture
 def fresh_kernel(monkeypatch, tmp_path):
     """An empty $XDG_CACHE_HOME and a kernel loaded anew from it."""
@@ -591,6 +651,33 @@ class TestKernelBuild:
             assert cache in str(err.value)
             assert self.libraries(cache) == []
         assert not (fresh_kernel / "t.csv").exists()
+
+    def test_plain_build_matches_loaded(self, tmp_path):
+        # the source without its AVX2 clone, built alone, gives the bits of
+        # the library the loader chose
+        attr = '__attribute__((target_clones("avx2", "default")))'
+        with open(KERNEL_SOURCE) as fh:
+            source = fh.read()
+        assert source.count(attr) == 1
+        (tmp_path / "plain.c").write_text(source.replace(attr, ""))
+        cc = (sysconfig.get_config_var("CC") or "cc").split()
+        subprocess.run([*cc, *net2._CFLAGS, str(tmp_path / "plain.c"), "-o",
+                        str(tmp_path / "plain.so")], check=True)
+        loaded = net2._kernel()
+        plain = ctypes.CDLL(str(tmp_path / "plain.so"))
+        plain.descend.argtypes = loaded.descend.argtypes
+        d = figure_set()
+        for k, seed, scale, lr, stop, status, steps in [
+                (20, 5, 0.5, 1e-2, 0.0, 0, 20_000),
+                (100, 0, 0.2, 1e-2, 0.0, 0, 20_000),
+                (20, 5, 0.5, 1e-2, 0.45, 1, 1297),
+                (20, 5, 0.5, 10.0, 0.0, 2, 6)]:
+            cfg = TrainConfig(seed=seed, init_scale=scale)
+            args = (net2._pack(net2.init(k, cfg)), k, d.xs, d.ys, 1e-5, lr,
+                    20_000, stop)
+            run = raw_descend(loaded, *args)
+            assert (run[0], len(run[1])) == (status, steps)
+            assert bits(raw_descend(plain, *args)) == bits(run)
 
     def test_processes_racing_on_a_cold_cache(self, fresh_kernel):
         env = dict(os.environ, XDG_CACHE_HOME=str(fresh_kernel / "cache"),

@@ -158,6 +158,12 @@ class TestJumpReconstruction:
         assert f.breakpoints.tolist() == [1.0]
         assert f.slopes.tolist() == [0.0, 5.0]
 
+    def test_coincident_jumps_summed_before_the_running_slope(self):
+        # 0.3 + (-0.5 + -0.9) and (0.3 - 0.5) - 0.9 differ in the last bit
+        f = pwl.from_jumps(0.0, [(0, 0.3), (1, -0.5), (1, -0.9)], (0, 0))
+        assert f.slopes.tolist() == [0.0, 0.3, 0.3 + (-0.5 + -0.9)]
+        assert f.slopes[-1] == -1.0999999999999999
+
     def test_cancelling_jumps_vanish(self):
         f = pwl.from_jumps(1.0, [(0.0, 2.0), (0.0, -2.0)], (0.0, 0.0))
         assert f.breakpoints.tolist() == []
