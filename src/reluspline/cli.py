@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import deep, highdim, net2, repcost, spline
+from ._value import check_integer
 from .net2 import DivergenceError
 from .pwl import PwlFunction, pwl_eval
 
@@ -158,10 +159,8 @@ def _cmd_depth(args):
     if args.net:
         net = _load(deep.ParallelDeepNet, args.net, "deep-net")
     elif args.random:
-        L, m, k, seed = args.random
-        if L < 2 or m < 1 or k < 1:
-            raise ValueError("--random needs L >= 2, m >= 1, k >= 1")
-        net = _random_deep_net(L, m, k, seed)
+        net = _random_deep_net(*map(check_integer, args.random, (
+            "depth", "width", "subnet count", "seed"), (2, 1, 1, 0)))
     else:
         raise ValueError("provide a net file or --random L m k seed")
     s = deep.align_to_sphere(net)
@@ -182,7 +181,8 @@ def _cmd_depth(args):
 
 def _cmd_highdim(args):
     radii = [float(r) for r in args.r_sweep.split(",")]
-    seeds = np.random.SeedSequence(args.seed).spawn(len(radii))
+    seeds = np.random.SeedSequence(check_integer(args.seed, "seed", 0)).spawn(
+        len(radii))
     rows = []
     if args.claim == "laplacian":
         e1 = tuple([1.0] + [0.0] * (args.d - 1))

@@ -113,7 +113,6 @@ def _assemble(locs, plus, end_sum, tv, anchor_x, anchor_y) -> ThresholdMeasure1D
     location; alpha_minus is chosen per the multiplier case so that it sums
     to ``end_sum``.  The offset c pins the induced function at the anchor.
     """
-    locs, plus = np.asarray(locs, dtype=float), np.asarray(plus, dtype=float)
     s = float(end_sum)
     m = locs.size
     if m == 0 and s != 0.0:

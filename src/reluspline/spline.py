@@ -140,7 +140,7 @@ def grid_oracle_end_slopes(interior) -> tuple[float, float, float]:
     the value is canonical.
     """
     l = np.asarray(interior, dtype=float)
-    t_int = float(np.abs(np.diff(l)).sum()) if l.size > 1 else 0.0
+    t_int = float(np.abs(np.diff(l)).sum())
     cx, cy = float(l[0]), float(l[-1])
     w = 4.0 * (1.0 + abs(cx) + abs(cy) + t_int)
     best = (cx, cy, end_slope_objective(interior, cx, cy))

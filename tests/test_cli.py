@@ -202,7 +202,11 @@ class TestDepthCommand:
     def test_random_depth_below_two(self, capsys):
         assert cli.main(["depth", "--random", "1", "2", "3", "0"]) == 2
         err = capsys.readouterr().err
-        assert "--random needs L >= 2, m >= 1, k >= 1" in err
+        assert "depth must be at least 2" in err
+
+    def test_negative_seed(self, capsys):
+        assert cli.main(["depth", "--random", "2", "1", "1", "-1"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_overflowing_cost_is_rejected(self, tmp_path, capsys):
         # cost_CL is about 1e400: inf as a float, and no JSON number
@@ -268,6 +272,13 @@ class TestHighdimCommand:
                        "--output", str(tmp_path / "decay.csv")])
         assert rc == cli.EXIT_VALIDATION
         assert "dimension must be at least 2" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys):
+        rc = cli.main(["highdim", "--claim", "laplacian", "--d", "2",
+                       "--r-sweep", "10", "--samples", "10", "--seed", "-1",
+                       "--output", str(tmp_path / "sweep.csv")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_empty_radius_sweep_is_a_validation_error(self, tmp_path):
         rc = cli.main(["highdim", "--claim", "bump-decay", "--r-sweep", "",

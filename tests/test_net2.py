@@ -17,8 +17,7 @@ from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
                              to_pwl, train)
 from reluspline.spline import Dataset
 
-from numpy_descent import descend as numpy_descend
-from numpy_descent import scalar_descend
+from numpy_descent import reference_descent, scalar_descend
 
 
 def random_net(rng, k=None):
@@ -348,112 +347,111 @@ class TestTrain:
             assert res.trace.shape == (steps, 3)
 
 
-def reference_descent(net0, d, lam, lr, steps, stop=0.0):
-    """Plain gradient descent with the gradient written out, one net at a time.
-
-    Returns the trace rows (objective, loss, cost), the final weights and
-    the gradient norm at each step.
-    """
-    w1, b1, w2, b2 = (np.array(net0.w1), np.array(net0.b1),
-                      np.array(net0.w2), net0.b2)
-    xs, ys = np.array(d.xs), np.array(d.ys)
-    trace, norms = [], []
-    for _ in range(steps):
-        pre = np.outer(xs, w1) + b1
-        act = np.maximum(pre, 0.0)
-        r = act @ w2 + b2 - ys
-        loss, cost = r @ r, 0.5 * (w1 @ w1 + w2 @ w2)
-        trace.append((loss + lam * cost, loss, cost))
-        back = (pre > 0.0) * r[:, None] * w2
-        g1 = 2.0 * (back.T @ xs) + lam * w1
-        gb1 = 2.0 * back.sum(axis=0)
-        g2 = 2.0 * (act.T @ r) + lam * w2
-        gb2 = 2.0 * r.sum()
-        norm = np.sqrt(g1 @ g1 + gb1 @ gb1 + g2 @ g2 + gb2 * gb2)
-        norms.append(norm)
-        if stop > 0.0 and norm <= stop:
-            break
-        w1, b1, w2, b2 = w1 - lr * g1, b1 - lr * gb1, w2 - lr * g2, b2 - lr * gb2
-    return np.array(trace), (w1, b1, w2, np.array([b2])), np.array(norms)
+def figure_set():
+    """The 10-point set of test_04 and of the benchmark's figure runs."""
+    rng = np.random.default_rng(7)
+    xs = np.linspace(-2, 2, 10) + rng.uniform(-0.1, 0.1, 10)
+    return Dataset(tuple(zip(xs, rng.uniform(-1, 1, 10))))
 
 
 class TestTrainMatchesReference:
-    """train's packed kernel against reference_descent, to rounding."""
+    """train's C kernel against reference_descent, the plain numpy descent.
 
+    The C loops and numpy sum in different orders, and the difference grows
+    over a run: every trace entry agrees to 1e-11 relative and theta to
+    1e-12 absolute, after 20 000 steps on the figure set at lam = 1e-5 too.
+    Stop reasons, stop steps and divergence steps agree exactly.
+    """
+
+    FIGURES = figure_set()
     DATA = random_dataset(np.random.default_rng(41), 6)
 
-    @staticmethod
-    def rel(a, b):
-        return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+    def check(self, d, k, **kw):
+        """Train from ``net2.init(k, cfg)`` and compare with the oracle.
 
-    def check(self, res, trace, weights, _norms):
+        Returns the trace rows written and the stop reason, or the rows up
+        to the oracle's first non-finite objective and "diverged", once
+        train has raised DivergenceError at that step.
+        """
+        cfg = TrainConfig(**kw)
+        net0 = net2.init(k, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, (w1, b1, w2, b2), _ = reference_descent(
+                net0, d, cfg.lam, cfg.learning_rate, cfg.max_steps,
+                cfg.stop_grad_norm)
+        bad = np.flatnonzero(~np.isfinite(trace[:, 0]))
+        if bad.size:
+            with pytest.raises(DivergenceError, match=f"at step {bad[0]} "):
+                train(net0, d, cfg)
+            return bad[0] + 1, "diverged"
+        res = train(net0, d, cfg)
         assert res.trace.shape == trace.shape
-        assert self.rel(res.trace, trace) < 1e-10
-        got = (res.net.w1, res.net.b1, res.net.w2, [res.net.b2])
-        for a, b in zip(got, weights):
-            assert self.rel(a, b) < 1e-10
+        assert np.all(np.abs(res.trace - trace) <= 1e-11 * np.abs(trace))
+        theta = np.concatenate([b1, w1, w2, b2])
+        assert np.abs(net2._pack(res.net) - theta).max() <= 1e-12
+        return res.steps, res.stop_reason
+
+    def figures(self, k, **kw):
+        return self.check(self.FIGURES, k, **{
+            "lam": 1e-5, "learning_rate": 1e-2, "max_steps": 20_000, **kw})
+
+    @pytest.mark.parametrize("k,seed,init_scale", [
+        (0, 0, 0.5), (1, 1, 0.5), (20, 5, 0.5), (100, 0, 0.2)])
+    def test_trace_and_theta(self, k, seed, init_scale):
+        assert (self.figures(k, seed=seed, init_scale=init_scale)
+                == (20_000, "max_steps"))
+
+    def test_grad_norm_stop(self):
+        # the norm first reads <= 0.45 at step 1296, at 0.948 of it, and
+        # stays >= 1.0076 times it before
+        assert (self.figures(20, seed=5, stop_grad_norm=0.45)
+                == (1297, "grad_norm"))
+
+    def test_zero_steps(self):
+        assert self.figures(20, seed=5, max_steps=0) == (0, "zero_steps")
+
+    def test_figure_set_divergence_step(self):
+        # at lr = 10 the objective overflows at step 5, the sixth row
+        assert self.figures(20, seed=5, learning_rate=10.0) == (6, "diverged")
 
     @pytest.mark.parametrize("k", [20, 100])
     def test_trace_and_weights(self, k):
-        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=2000, seed=k)
-        net0 = net2.init(k, cfg)
-        res = train(net0, self.DATA, cfg)
-        self.check(res, *reference_descent(net0, self.DATA, 0.05, 1e-2, 2000))
+        assert (self.check(self.DATA, k, lam=0.05, max_steps=2000, seed=k)
+                == (2000, "max_steps"))
 
     def test_grad_norm_stop_step(self):
-        # the gradient norm oscillates down; 0.3 is first met at step 668,
+        # the gradient norm oscillates down; 0.3 is first met at step 667,
         # where it reads 0.9996 of the threshold and the step before 1.0076
-        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=20_000,
-                          seed=3, stop_grad_norm=0.3)
-        net0 = net2.init(5, cfg)
-        res = train(net0, self.DATA, cfg)
-        trace, weights, _ = reference_descent(net0, self.DATA, 0.05, 1e-2,
-                                              20_000, stop=0.3)
-        assert (res.steps, res.stop_reason) == (len(trace), "grad_norm")
-        assert res.steps < 20_000
-        assert self.rel(res.trace, trace) < 1e-10
-        assert self.rel(res.net.w1, weights[0]) < 1e-10
-
+        assert self.check(self.DATA, 5, lam=0.05, max_steps=20_000, seed=3,
+                          stop_grad_norm=0.3) == (668, "grad_norm")
 
     @pytest.mark.parametrize("steps", [1, 127, 128, 129, 300])
     def test_block_edges(self, steps):
-        # step counts around the 128-step blocks of the numpy oracle
-        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=steps, seed=1)
-        net0 = net2.init(20, cfg)
-        self.check(train(net0, self.DATA, cfg),
-                   *reference_descent(net0, self.DATA, 0.05, 1e-2, steps))
+        # short runs of either parity, on both sides of 128: the trace has
+        # exactly max_steps rows and agrees from the first step
+        assert (self.check(self.DATA, 20, lam=0.05, max_steps=steps, seed=1)
+                == (steps, "max_steps"))
 
     @pytest.mark.parametrize("at", [0, 127, 128])
     def test_grad_norm_stop_at_block_edge(self, at):
-        # the gradient norm is a running minimum at step 127, the last of
-        # the first block, and at 128, the first of the second; a threshold
-        # above the first norm stops at step 0
-        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=300, seed=4)
-        net0 = net2.init(5, cfg)
+        # the gradient norm is a running minimum at steps 127 and 128, so a
+        # threshold between it and every earlier norm stops there; one above
+        # the first norm stops at step 0
+        net0 = net2.init(5, TrainConfig(seed=4))
         norms = reference_descent(net0, self.DATA, 0.05, 1e-2, 300)[2]
         above = norms[:at].min() if at else 2.0 * norms[0]
         assert norms[at] < above
         stop = float(np.sqrt(norms[at] * above))
-        cfg = TrainConfig(lam=0.05, learning_rate=1e-2, max_steps=300, seed=4,
-                          stop_grad_norm=stop)
-        res = train(net0, self.DATA, cfg)
-        assert (res.steps, res.stop_reason) == (at + 1, "grad_norm")
-        self.check(res, *reference_descent(net0, self.DATA, 0.05, 1e-2, 300,
-                                           stop=stop))
+        assert self.check(self.DATA, 5, lam=0.05, max_steps=300, seed=4,
+                          stop_grad_norm=stop) == (at + 1, "grad_norm")
 
     @pytest.mark.parametrize("lr", [10.0, 4.0, 1.0])
     def test_divergence_step(self, lr):
-        # the objective overflows at steps 96, 130 and 321: in the first
-        # block of 128 steps, early in the second and in the third
+        # the objective overflows at steps 96, 130 and 321 of 600
+        step = {10.0: 96, 4.0: 130, 1.0: 321}[lr]
         d = Dataset(((0.0, 1.0), (1.0, 3.0)))
-        cfg = TrainConfig(learning_rate=lr, max_steps=600, seed=0,
-                          init_scale=0.5)
-        net0 = net2.init(10, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = reference_descent(net0, d, 0.0, lr, 600)[0]
-        step = int(np.flatnonzero(~np.isfinite(trace[:, 0]))[0])
-        with pytest.raises(DivergenceError, match=f"at step {step} "):
-            train(net0, d, cfg)
+        assert self.check(d, 10, learning_rate=lr, max_steps=600, seed=0,
+                          init_scale=0.5) == (step + 1, "diverged")
 
     def test_kernel_memory(self):
         # beyond the trace the kernel holds theta and its gradient, and no
@@ -472,69 +470,6 @@ class TestTrainMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak - 8 * 3 * steps <= 40_000
-
-
-def figure_set():
-    """The 10-point set of test_04 and of the benchmark's figure runs."""
-    rng = np.random.default_rng(7)
-    xs = np.linspace(-2, 2, 10) + rng.uniform(-0.1, 0.1, 10)
-    return Dataset(tuple(zip(xs, rng.uniform(-1, 1, 10))))
-
-
-class TestKernelMatchesNumpyOracle:
-    """The C kernel against the numpy kernel it replaced, on the figure set.
-
-    BLAS and the C loops sum in different orders, and the difference grows
-    over a run: after 20 000 steps every trace entry agrees to 1e-10
-    relative and theta to 1e-11 absolute.  Stop reasons, stop steps and
-    divergence steps agree exactly.
-    """
-
-    DATA = figure_set()
-
-    def configure(self, k, **kw):
-        cfg = TrainConfig(**{"lam": 1e-5, "learning_rate": 1e-2,
-                             "max_steps": 20_000, **kw})
-        return cfg, net2.init(k, cfg)
-
-    def oracle(self, cfg, net0):
-        return numpy_descend(net0, self.DATA.xs, self.DATA.ys, cfg.lam,
-                             cfg.learning_rate, cfg.max_steps,
-                             cfg.stop_grad_norm)
-
-    def check(self, k, **kw):
-        cfg, net0 = self.configure(k, **kw)
-        theta, trace, done, reason = self.oracle(cfg, net0)
-        res = train(net0, self.DATA, cfg)
-        assert (res.steps, res.stop_reason) == (done, reason)
-        assert np.all(np.abs(res.trace - trace) <= 1e-10 * np.abs(trace))
-        assert np.abs(net2._pack(res.net) - theta).max() <= 1e-11
-        return res
-
-    @pytest.mark.parametrize("k,seed,init_scale", [
-        (0, 0, 0.5), (1, 1, 0.5), (20, 5, 0.5), (100, 0, 0.2)])
-    def test_trace_and_theta(self, k, seed, init_scale):
-        res = self.check(k, seed=seed, init_scale=init_scale)
-        assert (res.steps, res.stop_reason) == (20_000, "max_steps")
-
-    def test_grad_norm_stop(self):
-        # the norm first reads <= 0.45 at step 1296, at 0.948 of it, and
-        # stays >= 1.0076 times it before
-        res = self.check(20, seed=5, stop_grad_norm=0.45)
-        assert (res.steps, res.stop_reason) == (1297, "grad_norm")
-
-    def test_zero_steps(self):
-        res = self.check(20, seed=5, max_steps=0)
-        assert res.stop_reason == "zero_steps" and res.trace.shape == (0, 3)
-
-    def test_divergence_step(self):
-        cfg, net0 = self.configure(20, seed=5, learning_rate=10.0)
-        with pytest.raises(DivergenceError) as oracle:
-            self.oracle(cfg, net0)
-        where = str(oracle.value).split(" (")[0]
-        assert where.endswith("at step 5")
-        with pytest.raises(DivergenceError, match=f"^{where} "):
-            train(net0, self.DATA, cfg)
 
 
 def raw_descend(lib, theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
