@@ -85,6 +85,52 @@ int descend(int64_t k, int64_t n, const double *xs, const double *ys,
     return 0;
 }
 
+/* flux_values: the per-sample pass of the Laplacian-flux estimator.
+
+   Sample j is row j of g (n x d).  With s = sum_i g_i^2 and u_i = g_i / sqrt(s),
+   atom a (row a of w, k x d) projects to p_a = sum_i u_i w_ai, and vals[j] is
+   the sum over atoms, from 0, of (p_a > t_a ? p_a : 0) * sm_a.  Every sum runs
+   in index order.  Samples run in chunks of F, transposed into work, which
+   holds (d + 1) * n doubles: u, then s and each atom's p in turn, so each loop
+   runs across samples, in vector lanes where the CPU has them, with no sum
+   reordered. */
+enum { F = 256 };  /* flux samples per chunk */
+
+DISPATCH
+void flux_values(int64_t n, int64_t d, int64_t k,
+                 const double *restrict g, const double *restrict w,
+                 const double *restrict t, const double *restrict sm,
+                 double *restrict work, double *restrict vals)
+{
+    for (int64_t j0 = 0; j0 < n; j0 += F) {
+        const int64_t m = n - j0 < F ? n - j0 : F;
+        const double *x = g + j0 * d;
+        double *restrict u = work, *restrict p = work + d * m, *v = vals + j0;
+        for (int64_t j = 0; j < m; j++)
+            p[j] = x[j * d] * x[j * d];
+        for (int64_t i = 1; i < d; i++)
+            for (int64_t j = 0; j < m; j++)
+                p[j] += x[j * d + i] * x[j * d + i];
+        for (int64_t j = 0; j < m; j++)
+            p[j] = sqrt(p[j]);
+        for (int64_t i = 0; i < d; i++)
+            for (int64_t j = 0; j < m; j++)
+                u[i * m + j] = x[j * d + i] / p[j];
+        for (int64_t j = 0; j < m; j++)
+            v[j] = 0.0;
+        for (int64_t a = 0; a < k; a++) {
+            const double *wa = w + a * d, ta = t[a], sa = sm[a];
+            for (int64_t j = 0; j < m; j++)
+                p[j] = u[j] * wa[0];
+            for (int64_t i = 1; i < d; i++)
+                for (int64_t j = 0; j < m; j++)
+                    p[j] += u[i * m + j] * wa[i];
+            for (int64_t j = 0; j < m; j++)
+                v[j] += (p[j] > ta ? p[j] : 0.0) * sa;
+        }
+    }
+}
+
 typedef unsigned __int128 u128;
 
 /* shortest() gives the fewest digits D that read back as x > 0, the closest

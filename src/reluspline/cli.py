@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure or
 a result that is not a finite number, 3 numerical divergence.  ``train2``
-and ``highdim`` need a C compiler: they train or write CSVs in C (see net2).
+and ``highdim`` need a C compiler: they train, estimate the flux or write
+CSVs in C (see net2).
 """
 
 from __future__ import annotations

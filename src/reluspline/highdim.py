@@ -1,7 +1,8 @@
 """d-dimensional infinite-network functions from discrete measures.
 
 Contains the atom-measure evaluator and gradient, a Monte-Carlo estimator
-of the normalized Laplacian surface flux, the radial "bump" induced by the
+of the normalized Laplacian surface flux (its per-sample pass is C, in
+net2's kernel, so it needs a C compiler), the radial "bump" induced by the
 uniform second-difference measure on the sphere (elementary for every
 integer d, by a recurrence on the integral of (1-t^2)^m), and a Monte-Carlo
 estimator, on the radial identity |H|_F = sqrt(h''^2 + (d-1) (h'/rho)^2),
@@ -10,17 +11,18 @@ showing its normalized Hessian mass vanishes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import net2
 from ._value import Value, check_integer, frozen
 
 _UNIT_TOL = 1e-12
-# Flux samples per batch.  Its temporaries (a 480 kB peak at d=2, 5 atoms)
-# are reused from the heap; much larger batches are mapped afresh and
-# page-fault on every batch.
+# Flux samples per batch.  The estimator sums per batch, so this fixes its
+# bits; the batch buffers, allocated once per call, stay in cache.
 _FLUX_BATCH = 4096
 # Finite-difference step of the Hessian estimate.  Float cancellation in the
 # second difference grows like eps / h^2, so it must not be much smaller.
@@ -35,6 +37,16 @@ def ball_volume(m: int) -> float:
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere bounding the d-dimensional ball."""
     return float(2 * np.pi ** (d / 2) / math.gamma(d / 2))
+
+
+@contextlib.contextmanager
+def _dimension(d: int):
+    """Report an overflow of the sphere constants as a dimension too large."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"dimension {d} is too large: a sphere constant "
+                         f"overflows") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +120,24 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
         raise ValueError("radius must be positive and finite")
     check_integer(n_samples, "sample count", 2)
     check_integer(seed, "seed", 0)
-    d = source.d
-    w, b, m = source.directions(), source.biases(), source.masses()
+    d, k = source.d, len(source.atoms)
+    with _dimension(d):
+        scale = sphere_area(d) / ball_volume(d - 1)
+    w = np.ascontiguousarray(source.directions())
+    t, sm = -source.biases() / r, scale * source.masses()
     rng = np.random.Generator(np.random.Philox(seed))
-    t, sm = -b / r, sphere_area(d) / ball_volume(d - 1) * m
+    size = min(_FLUX_BATCH, n_samples)
+    g, work, vals = np.empty((size, d)), np.empty((d + 1) * size), np.empty(size)
+    flux_values = net2._kernel().flux_values
+    args = [a.ctypes.data for a in (g, w, t, sm, work, vals)]
     total = total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        batch = min(_FLUX_BATCH, n_samples - done)
-        g = rng.standard_normal((batch, d))
-        g /= np.sqrt(np.einsum("nd,nd->n", g, g))[:, None]
-        proj = g @ w.T
-        vals = (proj * (proj > t)) @ sm
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
-        done += batch
+    for done in range(0, n_samples, size):
+        batch = min(size, n_samples - done)
+        rng.standard_normal(out=g[:batch])
+        flux_values(batch, d, k, *args)
+        v = vals[:batch]
+        total += float(v.sum())
+        total_sq += float(v @ v)
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return FluxEstimate(mean, float(np.sqrt(var / n_samples)))
@@ -178,7 +193,8 @@ def bump_eval(x, d: int | None = None) -> float:
     check_integer(d, "dimension", 2)
     if not np.isfinite(r):
         raise ValueError("bump argument must be finite")
-    return float(_bump_radial(r, d))
+    with _dimension(d):
+        return float(_bump_radial(r, d))
 
 
 def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
@@ -193,17 +209,19 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
     along x and h'/rho across it.  One call of ``radial_fn`` on |rho-h|, rho
     and rho+h (the profile is even) gives both as central differences with
     step _FD_STEP.  Radii are stratified uniformly on [0, r], one per
-    stratum of width r/n, and each is weighted by rho^(d-1), its share of
-    the ball's volume; the weights are normalized, so a constant |Hessian|
-    is reproduced exactly.  Sampling the ball uniformly instead leaves the
-    thin shells near the origin and the unit sphere, where the bump's
-    Hessian is largest, to rare draws.
+    stratum of width r/n, and each is weighted by (rho/r)^(d-1), its share
+    of the ball's volume, which cannot overflow; the weights are normalized,
+    so a constant |Hessian| is reproduced exactly.  Sampling the ball
+    uniformly instead leaves the thin shells near the origin and the unit
+    sphere, where the bump's Hessian is largest, to rare draws.
     """
     check_integer(d, "dimension", 2)
     if not 2 < r < np.inf:
         raise ValueError("radius must exceed 2 and be finite")
     check_integer(n_samples, "sample count", 2)
     check_integer(seed, "seed", 0)
+    with _dimension(d):
+        volume = ball_volume(d)
     if radial_fn is None:
         def radial_fn(radii):
             return _bump_radial(radii, d)
@@ -214,5 +232,4 @@ def hessian_decay_estimate(d: int, r: float, n_samples: int, seed: int = 0,
     norms = np.hypot((lo - 2.0 * mid + hi) / (h * h),
                      np.sqrt(d - 1) * (hi - lo) / (2.0 * h * rho))
     # (1/r^(d-1)) * V_d r^d * weighted mean = V_d * r * weighted mean
-    return float(ball_volume(d) * r
-                 * np.average(norms, weights=rho ** (d - 1)))
+    return float(volume * r * np.average(norms, weights=(rho / r) ** (d - 1)))

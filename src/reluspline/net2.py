@@ -4,11 +4,14 @@ Evaluation, weight cost, per-unit rebalancing, conversion to the exact
 piecewise-linear function a net implements, extraction of the atomic second
 derivative, and deterministic full-batch gradient-descent training.
 
-Training (``descend``) and the CLI's CSV writer (``format_table``) are C, in
-``_kernel.c``, compiled on first use with the interpreter's C compiler into
-``$XDG_CACHE_HOME/reluspline`` (by default ``~/.cache/reluspline``) and loaded
-with ctypes: training, ``train2`` and ``highdim`` need a compiler.  On x86-64
-Linux an AVX2 ``descend``, picked at load, rounds as the plain one.
+Training (``descend``), the flux estimator's per-sample pass
+(``flux_values``, for ``highdim``) and the CLI's CSV writer (``format_table``)
+are C, in ``_kernel.c``, compiled on first use with the interpreter's C
+compiler into ``$XDG_CACHE_HOME/reluspline`` (by default
+``~/.cache/reluspline``) and loaded with ctypes: training, the flux
+estimator, ``train2`` and ``highdim`` need a compiler.  On x86-64 Linux AVX2
+bodies of ``descend`` and ``flux_values``, picked at load, round as the
+plain ones.
 """
 
 from __future__ import annotations
@@ -224,8 +227,9 @@ def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
     return trace, done, grad, reason
 
 
-# no -ffast-math and no fused multiply-add: rounding stays as written
-_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
+# no -ffast-math and no fused multiply-add: rounding stays as written;
+# without errno, sqrt is one instruction, which vectorises
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
 
 
 @functools.cache
@@ -239,7 +243,6 @@ def _kernel():
     """
     import ctypes
     import hashlib
-    import subprocess
     import sysconfig
 
     base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
@@ -261,6 +264,8 @@ def _kernel():
         key = hashlib.sha256(fh.read() + " ".join(cmd).encode()).hexdigest()
     path = os.path.join(cache, f"_kernel-{key[:16]}.so")
     if not os.path.exists(path):
+        import subprocess  # only to build: it is slow to import
+
         with tempfile.TemporaryDirectory(dir=cache) as tmp:
             try:
                 subprocess.run([*cmd, source, "-o", f"{tmp}/lib.so"],
@@ -268,7 +273,8 @@ def _kernel():
                                errors="replace")
             except (OSError, subprocess.CalledProcessError) as exc:
                 raise RuntimeError(
-                    f"training and the train2/highdim CSVs need a C compiler: "
+                    f"training, the flux estimator and the train2/highdim "
+                    f"CSVs need a C compiler: "
                     f"{' '.join(cmd)} failed to build the kernel in {cache}: "
                     f"{getattr(exc, 'stderr', None) or exc}") from None
             os.replace(f"{tmp}/lib.so", path)
@@ -281,4 +287,8 @@ def _kernel():
     lib.format_table.argtypes = [i64, i64, f64, ctypes.c_int,
                                  np.ctypeslib.ndpointer(np.uint8)]
     lib.format_table.restype = i64
+    # plain addresses: ndpointer's checks cost as much as a batch's pass
+    ptr = ctypes.c_void_p
+    lib.flux_values.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.flux_values.restype = None
     return lib

@@ -1,14 +1,18 @@
-"""Two oracles for ``net2``'s C training kernel, ``_kernel.c``.
+"""Oracles for the C kernel, ``_kernel.c``.
 
 ``reference_descent`` is the plain statement of the math: gradient descent
 with the gradient written out, in numpy calls that sum in another order
-than the kernel.  ``scalar_descend`` transcribes the kernel's loops in
-Python floats, which sum in the kernel's exact order.
+than the kernel.  ``scalar_descend`` transcribes the kernel's training
+loops in Python floats, which sum in the kernel's exact order, and
+``ordered_flux`` does the same for the flux estimator's per-sample pass in
+elementwise numpy, without BLAS.
 """
 
 import math
 
 import numpy as np
+
+from reluspline.highdim import _FLUX_BATCH, ball_volume, sphere_area
 
 
 def reference_descent(net0, d, lam, lr, steps, stop=0.0):
@@ -89,3 +93,36 @@ def scalar_descend(theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
             return 1, trace, theta, grad
         theta = [v - lr * g for v, g in zip(theta, grad)]
     return 0, trace, theta, grad
+
+
+def ordered_flux(source, r, n_samples, seed):
+    """``laplacian_flux_estimate`` with the per-sample pass summed as the C
+    kernel sums it: |g|^2 over coordinates in order, each projection over
+    coordinates in order and the value over atoms in order from 0, all in
+    elementwise numpy ops, which round each step as C does without fused
+    multiply-add.  The draws and the batch sums are the estimator's.
+
+    Returns the estimate's value and standard error.
+    """
+    d, w = source.d, source.directions()
+    t = -source.biases() / r
+    sm = sphere_area(d) / ball_volume(d - 1) * source.masses()
+    rng = np.random.Generator(np.random.Philox(seed))
+    total = total_sq = 0.0
+    for done in range(0, n_samples, _FLUX_BATCH):
+        g = rng.standard_normal((min(_FLUX_BATCH, n_samples - done), d))
+        s = g[:, 0] * g[:, 0]
+        for i in range(1, d):
+            s = s + g[:, i] * g[:, i]
+        u = g / np.sqrt(s)[:, None]
+        vals = np.zeros(len(g))
+        for a in range(len(w)):
+            p = u[:, 0] * w[a, 0]
+            for i in range(1, d):
+                p = p + u[:, i] * w[a, i]
+            vals = vals + np.where(p > t[a], p, 0.0) * sm[a]
+        total += float(vals.sum())
+        total_sq += float(vals @ vals)
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)

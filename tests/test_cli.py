@@ -280,6 +280,25 @@ class TestHighdimCommand:
         assert rc == cli.EXIT_VALIDATION
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
+    def test_bump_decay_at_d200_is_finite(self, tmp_path):
+        out = tmp_path / "decay.csv"
+        rc = cli.main(["highdim", "--claim", "bump-decay", "--d", "200",
+                       "--r-sweep", "50", "--samples", "10",
+                       "--output", str(out)])
+        assert rc == 0
+        r, est, _ = out.read_text().splitlines()[1].split(",")
+        assert r == "50.0" and np.isfinite(float(est))
+
+    def test_dimension_too_large_is_a_validation_error(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["highdim", "--claim", "laplacian", "--d", "400",
+                       "--output", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: dimension 400 is too large: a sphere constant overflows\n")
+        assert not out.exists()
+
     def test_empty_radius_sweep_is_a_validation_error(self, tmp_path):
         rc = cli.main(["highdim", "--claim", "bump-decay", "--r-sweep", "",
                        "--output", str(tmp_path / "decay.csv")])

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta, betainc
 
+from numpy_descent import ordered_flux
 from reluspline.highdim import (_FLUX_BATCH, AtomMeasureDD, _bump_radial,
                                 ball_volume, bump_eval, eval_dd, grad_dd,
                                 hessian_decay_estimate,
@@ -227,6 +229,52 @@ class TestFluxEstimate:
         assert est.value == pytest.approx(vals.mean(), rel=1e-12, abs=0)
         assert est.std_error == pytest.approx(sd, rel=1e-12, abs=0)
 
+    @staticmethod
+    def kernel_case(d, k, r=2.0):
+        # thresholds -b/r on both sides of 0 and beyond +-1, signed masses
+        rng = np.random.default_rng([7, d, k])
+        w = rng.standard_normal((k, d))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        b = rng.uniform(-1.5 * r, 1.5 * r, k)
+        m = rng.uniform(0.2, 2.0, k) * rng.choice([-1.0, 1.0], k)
+        return AtomMeasureDD(tuple(zip(map(tuple, w), b, m)), 0.0, d)
+
+    KERNEL_SIZES = [2, _FLUX_BATCH - 1, _FLUX_BATCH, _FLUX_BATCH + 1,
+                    3 * _FLUX_BATCH + 5]
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("k", [0, 1, 5, 40])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_kernel_order_bit_for_bit(self, d, k, n):
+        a = self.kernel_case(d, k)
+        est = laplacian_flux_estimate(a, 2.0, n, seed=d + k)
+        assert (est.value, est.std_error) == ordered_flux(a, 2.0, n, d + k)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("k", [0, 1, 5, 40])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_near_matmul_formula(self, d, k, n):
+        # the former numpy pass, whose matmuls may sum in another order;
+        # both results are compared on the scale of the values' RMS
+        a = self.kernel_case(d, k)
+        w, t = a.directions(), -a.biases() / 2.0
+        sm = sphere_area(d) / ball_volume(d - 1) * a.masses()
+        rng = np.random.Generator(np.random.Philox(d + k))
+        total = total_sq = 0.0
+        for done in range(0, n, _FLUX_BATCH):
+            g = rng.standard_normal((min(_FLUX_BATCH, n - done), d))
+            g /= np.sqrt(np.einsum("nd,nd->n", g, g))[:, None]
+            proj = g @ w.T
+            vals = (proj * (proj > t)) @ sm
+            total += float(vals.sum())
+            total_sq += float(vals @ vals)
+        mean = total / n
+        se = math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+        est = laplacian_flux_estimate(a, 2.0, n, seed=d + k)
+        rms = math.sqrt(total_sq / n)
+        assert abs(est.value - mean) <= 1e-13 * rms
+        assert abs(est.std_error - se) <= 1e-13 * rms / math.sqrt(n)
+
 
 class TestBump:
     def test_origin_value(self):
@@ -418,6 +466,33 @@ class TestHessianDecay:
         for seed in range(8):
             est = hessian_decay_estimate(d, r, 10_000, seed=seed)
             assert est == pytest.approx(exact, rel=tol)
+
+
+class TestLargeDimension:
+    def test_control_at_d200(self):
+        # the weights rho^(d-1) overflowed from rho > 35 at d = 200
+        est = hessian_decay_estimate(200, 50.0, 10, seed=0,
+                                     radial_fn=lambda rr: rr ** 2 / 2)
+        assert est == pytest.approx(ball_volume(200) * 50.0 * np.sqrt(200),
+                                    rel=1e-9)
+
+    @pytest.mark.parametrize("d,r", [(200, 50.0), (40, 1e10), (3, 1e200)])
+    def test_bump_decay_is_finite(self, d, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(hessian_decay_estimate(d, r, 10, seed=0))
+
+    # the first dimension at which math.gamma overflows in a sphere constant
+    @pytest.mark.parametrize("d,estimate", [
+        (342, lambda d: hessian_decay_estimate(d, 10.0, 4)),
+        (343, lambda d: laplacian_flux_estimate(AtomMeasureDD((), 0.0, d),
+                                                10.0, 4).value),
+        (345, lambda d: bump_eval(2.0, d))],
+        ids=["decay", "flux", "bump"])
+    def test_dimension_too_large(self, d, estimate):
+        assert np.isfinite(estimate(d - 1))
+        with pytest.raises(ValueError, match=f"dimension {d} is too large"):
+            estimate(d)
 
 
 @pytest.mark.parametrize("n", [np.nan, 10.5, 1])

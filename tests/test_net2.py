@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from reluspline import cli, net2, pwl, repcost, spline
+from reluspline.highdim import AtomMeasureDD, laplacian_flux_estimate
 from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
                              balance, extract_u, net_cost, net_eval,
                              normalize_first_layer, objective_and_grad,
@@ -484,6 +485,15 @@ def raw_descend(lib, theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
     return status, trace[:done[0]], theta, grad
 
 
+def raw_flux(lib, g, w, t, sm):
+    """One ``flux_values`` call of a kernel library: the value per sample."""
+    (n, d), k = g.shape, len(w)
+    work, vals = np.empty((d + 1) * n), np.empty(n)
+    lib.flux_values(n, d, k, *(a.ctypes.data for a in (g, w, t, sm, work,
+                                                       vals)))
+    return vals
+
+
 def bits(run):
     """A run's status and the bytes of its arrays, for exact comparison."""
     return (run[0],) + tuple(np.asarray(a, float).tobytes() for a in run[1:])
@@ -576,12 +586,15 @@ class TestKernelBuild:
         monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
             "no-such-cc -pipe" if name == "CC" else real(name)))
         cache = str(fresh_kernel / "cache" / "reluspline")
-        # training, and the CSV writer of train2 and highdim, build the library
-        for build in (train_briefly, lambda: cli._write_csv(
-                str(fresh_kernel / "t.csv"), ["a", "b", "c"], np.zeros((1, 3)))):
+        # training, the flux estimator, and the CSV writer of train2 and
+        # highdim build the library
+        for build in (train_briefly, lambda: laplacian_flux_estimate(
+                AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, 2), 10.0, 10),
+                lambda: cli._write_csv(str(fresh_kernel / "t.csv"),
+                                       ["a", "b", "c"], np.zeros((1, 3)))):
             with pytest.raises(RuntimeError, match=(
-                    "training and the train2/highdim CSVs need a C compiler: "
-                    "no-such-cc -pipe")) as err:
+                    "training, the flux estimator and the train2/highdim CSVs "
+                    "need a C compiler: no-such-cc -pipe")) as err:
                 build()
             assert cache in str(err.value)
             assert self.libraries(cache) == []
@@ -601,6 +614,14 @@ class TestKernelBuild:
         loaded = net2._kernel()
         plain = ctypes.CDLL(str(tmp_path / "plain.so"))
         plain.descend.argtypes = loaded.descend.argtypes
+        plain.flux_values.argtypes = loaded.flux_values.argtypes
+        rng = np.random.default_rng(8)
+        for n, d, k in [(1, 2, 1), (255, 2, 5), (256, 3, 0), (257, 7, 33),
+                        (4096, 5, 20)]:
+            inputs = (rng.standard_normal((n, d)), rng.standard_normal((k, d)),
+                      rng.uniform(-1.0, 1.0, k), rng.uniform(-2.0, 2.0, k))
+            assert (raw_flux(plain, *inputs).tobytes()
+                    == raw_flux(loaded, *inputs).tobytes())
         d = figure_set()
         for k, seed, scale, lr, stop, status, steps in [
                 (20, 5, 0.5, 1e-2, 0.0, 0, 20_000),
@@ -613,6 +634,16 @@ class TestKernelBuild:
             run = raw_descend(loaded, *args)
             assert (run[0], len(run[1])) == (status, steps)
             assert bits(raw_descend(plain, *args)) == bits(run)
+
+    def test_cached_load_skips_the_compiler(self):
+        # subprocess, slow to import, is loaded only to build the library
+        net2._kernel()
+        code = ("import sys; from reluspline import net2; net2._kernel(); "
+                "print('subprocess' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
     def test_processes_racing_on_a_cold_cache(self, fresh_kernel):
         env = dict(os.environ, XDG_CACHE_HOME=str(fresh_kernel / "cache"),
