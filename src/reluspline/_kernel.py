@@ -1,0 +1,102 @@
+"""The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
+of ``descend`` (training), ``flux_values`` (the flux estimator's per-sample
+pass) and ``format_table`` (the CSV writer), which pass arrays as addresses."""
+
+import contextlib
+import ctypes
+import functools
+import os
+import tempfile
+
+import numpy as np
+
+# no -ffast-math and no fused multiply-add: rounding stays as written;
+# without errno, sqrt is one instruction, which vectorises
+CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
+
+
+def _usable(cache: str) -> bool:
+    with contextlib.suppress(OSError):
+        os.makedirs(cache, 0o700, exist_ok=True)
+        st = os.stat(cache)
+        return (st.st_uid == os.getuid() and not st.st_mode & 0o022
+                and os.access(cache, os.W_OK))
+    return False
+
+
+@functools.cache
+def load() -> ctypes.CDLL:
+    """``_kernel.c``'s library, built on first use into $XDG_CACHE_HOME/reluspline
+    or else a private directory in the temp directory.  Named by a hash of the
+    source and the command, it is built aside and renamed into place, so
+    racing processes load whole ones."""
+    import hashlib
+    import sysconfig
+
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    cache = os.path.join(base, "reluspline")
+    if not _usable(cache):  # gettempdir probes the temp directory: only here
+        tried, cache = cache, os.path.join(tempfile.gettempdir(),
+                                           f"reluspline-{os.getuid()}")
+        if not _usable(cache):
+            raise RuntimeError(f"no cache directory for the C kernel: "
+                               f"tried {tried} and {cache}")
+    source = os.path.join(os.path.dirname(__file__), "_kernel.c")
+    cmd = (sysconfig.get_config_var("CC") or "cc").split() + CFLAGS
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(cmd).encode()).hexdigest()
+    path = os.path.join(cache, f"_kernel-{key[:16]}.so")
+    if not os.path.exists(path):
+        import subprocess  # only to build: it is slow to import
+
+        with tempfile.TemporaryDirectory(dir=cache) as tmp:
+            try:
+                subprocess.run([*cmd, source, "-o", f"{tmp}/lib.so"],
+                               check=True, capture_output=True,
+                               errors="replace")
+            except (OSError, subprocess.CalledProcessError) as exc:
+                raise RuntimeError(
+                    f"training, the flux estimator and the train2/highdim "
+                    f"CSVs need a C compiler: "
+                    f"{' '.join(cmd)} failed to build the kernel in {cache}: "
+                    f"{getattr(exc, 'stderr', None) or exc}") from None
+            os.replace(f"{tmp}/lib.so", path)
+    lib = ctypes.CDLL(path)
+    i64, real, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.descend.argtypes = [i64, i64, ptr, ptr, real, real, i64, real] + [ptr] * 4
+    lib.descend.restype = ctypes.c_int
+    lib.flux_values.argtypes = [i64] * 3 + [ptr] * 6
+    lib.flux_values.restype = None
+    lib.format_table.argtypes = [i64, i64, ptr, ctypes.c_int, ptr]
+    lib.format_table.restype = i64
+    return lib
+
+
+def descend(theta, xs, ys, lam, lr, max_steps, stop):
+    """``descend`` on points (xs, ys) from theta = [b1 | w1 | w2 | b2], a float
+    vector updated in place: the status (0 max_steps, 1 stop reached, 2
+    diverged), the max_steps-row trace, the rows written and the gradient."""
+    xs = np.ascontiguousarray(xs, dtype=float)
+    ys = np.ascontiguousarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be vectors of one length")
+    trace, grad = np.empty((max_steps, 3)), np.empty(theta.size)
+    done = np.zeros(1, np.int64)
+    status = load().descend(
+        theta.size // 3, xs.size, xs.ctypes.data, ys.ctypes.data, lam, lr,
+        max_steps, stop, *(a.ctypes.data for a in (theta, grad, trace, done)))
+    return status, trace, int(done[0]), grad
+
+
+def write_csv(path: str, header, table, numbered: bool = False):
+    """Write a table of float columns as csv.writer would: floats as their
+    shortest repr, lines ending in \\r\\n and, with ``numbered``, each row
+    led by its index, under the first header."""
+    table = np.ascontiguousarray(table, dtype=float)
+    # format_table's bound; np.empty leaves the pages it never writes untouched
+    buf = np.empty(len(table) * (25 * table.shape[1] + 22), np.uint8)
+    size = load().format_table(*table.shape, table.ctypes.data, numbered,
+                               buf.ctypes.data)
+    with open(path, "wb") as fh:
+        fh.write(f"{','.join(header)}\r\n".encode())
+        fh.write(buf[:size])

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure or
 a result that is not a finite number, 3 numerical divergence.  ``train2``
 and ``highdim`` need a C compiler: they train, estimate the flux or write
-CSVs in C (see net2).
+CSVs in C (see ``_kernel``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import deep, highdim, net2, repcost, spline
+from . import _kernel, deep, highdim, net2, repcost, spline
 from ._value import check_integer
 from .net2 import DivergenceError
 from .pwl import PwlFunction, pwl_eval
@@ -56,23 +56,6 @@ def _emit(payload, path: str | None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _write_csv(path: str, header, table, numbered: bool = False):
-    """Write a table of float columns as csv.writer would.
-
-    Floats print as their shortest repr and lines end in \\r\\n.  With
-    ``numbered``, each row starts with its index, under the first header.
-    ``format_table`` in ``net2._kernel`` formats the rows in C, so the
-    commands that write CSVs, ``train2`` and ``highdim``, need a C compiler.
-    """
-    table = np.ascontiguousarray(table, dtype=float)
-    # format_table's bound; np.empty leaves the pages it never writes untouched
-    buf = np.empty(len(table) * (25 * table.shape[1] + 22), np.uint8)
-    size = net2._kernel().format_table(*table.shape, table, numbered, buf)
-    with open(path, "wb") as fh:
-        fh.write(f"{','.join(header)}\r\n".encode())
-        fh.write(buf[:size])
 
 
 def _cmd_repcost(args):
@@ -119,12 +102,12 @@ def _cmd_train2(args):
     prefix = args.prefix or "train2"
     with open(f"{prefix}_net.json", "w") as fh:
         fh.write(net.to_json() + "\n")
-    _write_csv(f"{prefix}_trace.csv", ["step", "objective", "loss", "cost"],
-               result.trace, numbered=True)
+    _kernel.write_csv(f"{prefix}_trace.csv", ["step", "objective", "loss", "cost"],
+                      result.trace, numbered=True)
     xs = np.linspace(d.xs.min() - 1.0, d.xs.max() + 1.0, 512)
-    _write_csv(f"{prefix}_grid.csv", ["x", "net", "spline"],
-               np.column_stack((xs, net2.net_eval(net, xs),
-                                pwl_eval(interp.spline, xs))))
+    _kernel.write_csv(f"{prefix}_grid.csv", ["x", "net", "spline"],
+                      np.column_stack((xs, net2.net_eval(net, xs),
+                                       pwl_eval(interp.spline, xs))))
     summary = {
         "steps": result.steps,
         "stop_reason": result.stop_reason,
@@ -200,7 +183,7 @@ def _cmd_highdim(args):
                 args.d, r, args.samples, seed=ss.generate_state(1)[0])
             rows.append([r, est, 0.0])
     out = args.output or f"highdim_{args.claim}.csv"
-    _write_csv(out, ["r", "estimate", "std_error"], rows)
+    _kernel.write_csv(out, ["r", "estimate", "std_error"], rows)
     print(out)
     return 0
 

@@ -2,7 +2,7 @@
 
 Contains the atom-measure evaluator and gradient, a Monte-Carlo estimator
 of the normalized Laplacian surface flux (its per-sample pass is C, in
-net2's kernel, so it needs a C compiler), the radial "bump" induced by the
+``_kernel``, so it needs a C compiler), the radial "bump" induced by the
 uniform second-difference measure on the sphere (elementary for every
 integer d, by a recurrence on the integral of (1-t^2)^m), and a Monte-Carlo
 estimator, on the radial identity |H|_F = sqrt(h''^2 + (d-1) (h'/rho)^2),
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import net2
+from . import _kernel
 from ._value import Value, check_integer, frozen
 
 _UNIT_TOL = 1e-12
@@ -128,7 +128,7 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
     rng = np.random.Generator(np.random.Philox(seed))
     size = min(_FLUX_BATCH, n_samples)
     g, work, vals = np.empty((size, d)), np.empty((d + 1) * size), np.empty(size)
-    flux_values = net2._kernel().flux_values
+    flux_values = _kernel.load().flux_values
     args = [a.ctypes.data for a in (g, w, t, sm, work, vals)]
     total = total_sq = 0.0
     for done in range(0, n_samples, size):

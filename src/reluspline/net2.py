@@ -2,29 +2,17 @@
 
 Evaluation, weight cost, per-unit rebalancing, conversion to the exact
 piecewise-linear function a net implements, extraction of the atomic second
-derivative, and deterministic full-batch gradient-descent training.
-
-Training (``descend``), the flux estimator's per-sample pass
-(``flux_values``, for ``highdim``) and the CLI's CSV writer (``format_table``)
-are C, in ``_kernel.c``, compiled on first use with the interpreter's C
-compiler into ``$XDG_CACHE_HOME/reluspline`` (by default
-``~/.cache/reluspline``) and loaded with ctypes: training, the flux
-estimator, ``train2`` and ``highdim`` need a compiler.  On x86-64 Linux AVX2
-bodies of ``descend`` and ``flux_values``, picked at load, round as the
-plain ones.
+derivative, and deterministic full-batch gradient-descent training, whose
+step is C (see ``_kernel``), so that training needs a C compiler.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pwl
+from . import _kernel, pwl
 from ._value import Value, check_integer, frozen
 from .pwl import AtomList1D, PwlFunction
 
@@ -167,8 +155,8 @@ def objective_and_grad(net: TwoLayerNet, dataset, lam: float):
     the biases.  Both come from one training step at learning rate 1; the
     gradient is returned as a TwoLayerNet of the same shape.
     """
-    trace, _, g, _ = _descend(_pack(net), net.k, dataset.xs, dataset.ys, lam,
-                              1.0, 1, 0.0)
+    trace, _, g, _ = _descend(_pack(net), dataset.xs, dataset.ys, lam, 1.0, 1,
+                              0.0)
     return float(trace[0, 0]), _unpack(g, net.k)
 
 
@@ -198,7 +186,7 @@ def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
     """
     k, theta = net0.k, _pack(net0)
     trace, done, _, reason = _descend(
-        theta, k, dataset.xs, dataset.ys, cfg.lam, cfg.learning_rate,
+        theta, dataset.xs, dataset.ys, cfg.lam, cfg.learning_rate,
         cfg.max_steps, cfg.stop_grad_norm)
     if done < cfg.max_steps:
         # a copy, so an early stop does not keep the max_steps buffer alive
@@ -206,17 +194,11 @@ def train(net0: TwoLayerNet, dataset, cfg: TrainConfig) -> TrainResult:
     return TrainResult(_unpack(theta, k), trace, reason)
 
 
-def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
-    """``_kernel.c``'s descent on theta = [b1 | w1 | w2 | b2], in place.
-
-    Returns the trace, the steps done, the objective's gradient at the last
-    iterate and the stop reason, or raises DivergenceError.
-    """
-    trace, grad = np.empty((max_steps, 3)), np.empty(theta.size)
-    done = np.zeros(1, np.int64)
-    status = _kernel().descend(k, xs.size, xs, ys, lam, lr, max_steps, stop,
-                               theta, grad, trace, done)
-    done = int(done[0])
+def _descend(theta, xs, ys, lam, lr, max_steps, stop):
+    """``_kernel.descend``, decoded: the trace, the steps done, the gradient at
+    the last iterate and the stop reason, or a DivergenceError."""
+    status, trace, done, grad = _kernel.descend(theta, xs, ys, lam, lr,
+                                                max_steps, stop)
     if status == 2:
         _, loss, cost = trace[done - 1]
         raise DivergenceError(
@@ -225,70 +207,3 @@ def _descend(theta, k, xs, ys, lam, lr, max_steps, stop):
             "reduce the learning rate")
     reason = ("max_steps", "grad_norm")[status] if max_steps else "zero_steps"
     return trace, done, grad, reason
-
-
-# no -ffast-math and no fused multiply-add: rounding stays as written;
-# without errno, sqrt is one instruction, which vectorises
-_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
-
-
-@functools.cache
-def _kernel():
-    """The library of ``_kernel.c``, compiled on first use into a disk cache.
-
-    The cache is $XDG_CACHE_HOME/reluspline, else a per-user directory under
-    the temp directory; either must be this user's and writable by no one
-    else.  The library, named by a hash of the source and the command, is
-    built aside and renamed into place, so racing processes load whole ones.
-    """
-    import ctypes
-    import hashlib
-    import sysconfig
-
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    dirs = [os.path.join(base, "reluspline"),
-            os.path.join(tempfile.gettempdir(), f"reluspline-{os.getuid()}")]
-    for cache in dirs:
-        with contextlib.suppress(OSError):
-            os.makedirs(cache, 0o700, exist_ok=True)
-            st = os.stat(cache)
-            if (st.st_uid == os.getuid() and not st.st_mode & 0o022
-                    and os.access(cache, os.W_OK)):
-                break
-    else:
-        raise RuntimeError(f"no cache directory for the C kernel: "
-                           f"tried {' and '.join(dirs)}")
-    source = os.path.join(os.path.dirname(__file__), "_kernel.c")
-    cmd = (sysconfig.get_config_var("CC") or "cc").split() + _CFLAGS
-    with open(source, "rb") as fh:
-        key = hashlib.sha256(fh.read() + " ".join(cmd).encode()).hexdigest()
-    path = os.path.join(cache, f"_kernel-{key[:16]}.so")
-    if not os.path.exists(path):
-        import subprocess  # only to build: it is slow to import
-
-        with tempfile.TemporaryDirectory(dir=cache) as tmp:
-            try:
-                subprocess.run([*cmd, source, "-o", f"{tmp}/lib.so"],
-                               check=True, capture_output=True,
-                               errors="replace")
-            except (OSError, subprocess.CalledProcessError) as exc:
-                raise RuntimeError(
-                    f"training, the flux estimator and the train2/highdim "
-                    f"CSVs need a C compiler: "
-                    f"{' '.join(cmd)} failed to build the kernel in {cache}: "
-                    f"{getattr(exc, 'stderr', None) or exc}") from None
-            os.replace(f"{tmp}/lib.so", path)
-    lib = ctypes.CDLL(path)
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64, real = ctypes.c_int64, ctypes.c_double
-    lib.descend.argtypes = [i64, i64, f64, f64, real, real, i64, real, f64,
-                            f64, f64, np.ctypeslib.ndpointer(np.int64)]
-    lib.descend.restype = ctypes.c_int
-    lib.format_table.argtypes = [i64, i64, f64, ctypes.c_int,
-                                 np.ctypeslib.ndpointer(np.uint8)]
-    lib.format_table.restype = i64
-    # plain addresses: ndpointer's checks cost as much as a batch's pass
-    ptr = ctypes.c_void_p
-    lib.flux_values.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.flux_values.restype = None
-    return lib

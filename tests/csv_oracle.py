@@ -1,4 +1,4 @@
-"""A Python CSV writer: the oracle for ``cli._write_csv``, whose rows are
+"""A Python CSV writer: the oracle for ``_kernel.write_csv``, whose rows are
 formatted in C by ``_kernel.c``'s ``format_table``.
 
 ``write_csv`` formats each cell with Python's ``repr`` and streams the rows

@@ -1,11 +1,11 @@
-"""``cli._write_csv``, whose rows ``_kernel.c`` formats in C, against the
+"""``_kernel.write_csv``, whose rows ``_kernel.c`` formats in C, against the
 Python writer in ``csv_oracle.py``: every file must match byte for byte."""
 
 import numpy as np
 import pytest
 
 from csv_oracle import write_csv
-from reluspline import cli
+from reluspline import _kernel
 
 POW2 = np.ldexp(1.0, np.arange(-1074, 1024))
 
@@ -21,7 +21,7 @@ def assert_matches_oracle(tmp_path, values, numbered=False):
     values = np.asarray(values, dtype=float).ravel()
     table = np.concatenate((values, np.zeros(-values.size % 3))).reshape(-1, 3)
     header = ["step", "a", "b", "c"][1 - numbered:]
-    cli._write_csv(str(tmp_path / "c.csv"), header, table, numbered)
+    _kernel.write_csv(str(tmp_path / "c.csv"), header, table, numbered)
     write_csv(str(tmp_path / "oracle.csv"), header, table, numbered)
     got = (tmp_path / "c.csv").read_bytes()
     want = (tmp_path / "oracle.csv").read_bytes()

@@ -6,11 +6,12 @@ import sys
 import sysconfig
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from reluspline import cli, net2, pwl, repcost, spline
+from reluspline import _kernel, net2, pwl, repcost, spline
 from reluspline.highdim import AtomMeasureDD, laplacian_flux_estimate
 from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
                              balance, extract_u, net_cost, net_eval,
@@ -347,6 +348,31 @@ class TestTrain:
             assert (res.steps, res.stop_reason) == (steps, reason)
             assert res.trace.shape == (steps, 3)
 
+    def test_unequal_xs_and_ys_raise(self):
+        # the kernel reads ys[j] for every j < len(xs)
+        net, cfg = net2.init(3, TrainConfig(seed=0)), TrainConfig(max_steps=5)
+        for xs, ys in [(np.arange(5.0), np.zeros(2)),
+                       (np.zeros((2, 2)), np.zeros((2, 2)))]:
+            short = SimpleNamespace(xs=xs, ys=ys)
+            with pytest.raises(ValueError, match="vectors of one length"):
+                train(net, short, cfg)
+            with pytest.raises(ValueError, match="vectors of one length"):
+                objective_and_grad(net, short, 0.1)
+
+    def test_integer_and_strided_points(self):
+        # converted to contiguous floats, they train as the float Dataset
+        d = Dataset(((0.0, 1.0), (1.0, 3.0), (2.0, 0.0), (3.0, 2.0)))
+        cfg = TrainConfig(lam=0.01, max_steps=50, seed=3)
+        net0 = net2.init(4, cfg)
+        want = train(net0, d, cfg)
+        wide = np.zeros((2, 8))
+        wide[:, ::2] = d.xs, d.ys
+        for points in (SimpleNamespace(xs=np.arange(4), ys=d.ys),
+                       SimpleNamespace(xs=wide[0, ::2], ys=wide[1, ::2])):
+            got = train(net0, points, cfg)
+            assert got.trace.tobytes() == want.trace.tobytes()
+            assert got.net == want.net
+
 
 def figure_set():
     """The 10-point set of test_04 and of the benchmark's figure runs."""
@@ -463,7 +489,7 @@ class TestTrainMatchesReference:
         d = Dataset(tuple(zip(xs.tolist(), np.sin(3.0 * xs).tolist())))
         cfg = TrainConfig(max_steps=steps, seed=0)
         net0 = net2.init(k, cfg)
-        net2._kernel()
+        _kernel.load()
         tracemalloc.start()
         try:
             train(net0, d, cfg)
@@ -476,12 +502,12 @@ class TestTrainMatchesReference:
 def raw_descend(lib, theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
     """One ``descend`` call of a kernel library, returned as
     ``scalar_descend`` returns it: status, trace rows, theta and gradient."""
-    theta = np.array(theta, dtype=float)
+    theta, xs, ys = (np.array(a, dtype=float) for a in (theta, xs, ys))
     grad, trace = np.empty(theta.size), np.empty((max_steps, 3))
     done = np.zeros(1, np.int64)
-    status = lib.descend(k, len(xs), np.asarray(xs, float),
-                         np.asarray(ys, float), lam, lr, max_steps, stop,
-                         theta, grad, trace, done)
+    status = lib.descend(k, len(xs), xs.ctypes.data, ys.ctypes.data, lam, lr,
+                         max_steps, stop, *(a.ctypes.data for a in (
+                             theta, grad, trace, done)))
     return status, trace[:done[0]], theta, grad
 
 
@@ -499,7 +525,7 @@ def bits(run):
     return (run[0],) + tuple(np.asarray(a, float).tobytes() for a in run[1:])
 
 
-KERNEL_SOURCE = os.path.join(os.path.dirname(net2.__file__), "_kernel.c")
+KERNEL_SOURCE = os.path.join(os.path.dirname(_kernel.__file__), "_kernel.c")
 with open(KERNEL_SOURCE) as fh:
     # the kernel's block of data points
     BLOCK = int(re.search(r"enum \{ B = (\d+) \}", fh.read()).group(1))
@@ -519,7 +545,7 @@ class TestKernelMatchesScalarOrder:
         xs, ys = rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)
         theta = rng.uniform(-0.5, 0.5, 3 * k + 1)
         args = (k, xs, ys, 1e-3, lr, steps, stop)
-        c = raw_descend(net2._kernel(), theta, *args)
+        c = raw_descend(_kernel.load(), theta, *args)
         assert bits(c) == bits(scalar_descend(theta, *args))
         return c
 
@@ -543,9 +569,9 @@ class TestKernelMatchesScalarOrder:
 def fresh_kernel(monkeypatch, tmp_path):
     """An empty $XDG_CACHE_HOME and a kernel loaded anew from it."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    net2._kernel.cache_clear()
+    _kernel.load.cache_clear()
     yield tmp_path
-    net2._kernel.cache_clear()
+    _kernel.load.cache_clear()
 
 
 def train_briefly():
@@ -559,7 +585,7 @@ class TestKernelBuild:
         return [f for f in os.listdir(path) if not f.startswith(".")]
 
     def test_compiled_into_xdg_cache(self, fresh_kernel):
-        src = os.path.dirname(net2.__file__)
+        src = os.path.dirname(_kernel.__file__)
         before = sorted(os.listdir(src))
         assert train_briefly().steps == 3
         cache = fresh_kernel / "cache" / "reluspline"
@@ -590,8 +616,8 @@ class TestKernelBuild:
         # highdim build the library
         for build in (train_briefly, lambda: laplacian_flux_estimate(
                 AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, 2), 10.0, 10),
-                lambda: cli._write_csv(str(fresh_kernel / "t.csv"),
-                                       ["a", "b", "c"], np.zeros((1, 3)))):
+                lambda: _kernel.write_csv(str(fresh_kernel / "t.csv"),
+                                          ["a", "b", "c"], np.zeros((1, 3)))):
             with pytest.raises(RuntimeError, match=(
                     "training, the flux estimator and the train2/highdim CSVs "
                     "need a C compiler: no-such-cc -pipe")) as err:
@@ -609,9 +635,9 @@ class TestKernelBuild:
         assert source.count(attr) == 1
         (tmp_path / "plain.c").write_text(source.replace(attr, ""))
         cc = (sysconfig.get_config_var("CC") or "cc").split()
-        subprocess.run([*cc, *net2._CFLAGS, str(tmp_path / "plain.c"), "-o",
+        subprocess.run([*cc, *_kernel.CFLAGS, str(tmp_path / "plain.c"), "-o",
                         str(tmp_path / "plain.so")], check=True)
-        loaded = net2._kernel()
+        loaded = _kernel.load()
         plain = ctypes.CDLL(str(tmp_path / "plain.so"))
         plain.descend.argtypes = loaded.descend.argtypes
         plain.flux_values.argtypes = loaded.flux_values.argtypes
@@ -635,15 +661,35 @@ class TestKernelBuild:
             assert (run[0], len(run[1])) == (status, steps)
             assert bits(raw_descend(plain, *args)) == bits(run)
 
+    def test_no_usable_cache_directory_is_one_error(self, fresh_kernel,
+                                                    monkeypatch):
+        # the XDG cache is a file and the private temp directory is
+        # group-writable: neither may hold the library
+        (fresh_kernel / "cache").write_text("")
+        private = fresh_kernel / "tmp" / f"reluspline-{os.getuid()}"
+        private.mkdir(parents=True)
+        os.chmod(private, 0o770)
+        monkeypatch.setattr(tempfile, "tempdir", str(fresh_kernel / "tmp"))
+        with pytest.raises(RuntimeError) as err:
+            train_briefly()
+        assert str(err.value) == (
+            f"no cache directory for the C kernel: tried "
+            f"{fresh_kernel / 'cache' / 'reluspline'} and {private}")
+        assert [f for _, _, files in os.walk(fresh_kernel) for f in files
+                if f.endswith(".so")] == []
+
     def test_cached_load_skips_the_compiler(self):
-        # subprocess, slow to import, is loaded only to build the library
-        net2._kernel()
-        code = ("import sys; from reluspline import net2; net2._kernel(); "
-                "print('subprocess' in sys.modules)")
+        # subprocess, slow to import, is loaded only to build the library;
+        # numpy.ctypeslib is not needed, and the temp directory, whose lookup
+        # probes it, is looked up only when the XDG cache is unusable
+        _kernel.load()
+        code = ("import sys, tempfile; from reluspline import _kernel; "
+                "_kernel.load(); print('subprocess' in sys.modules, "
+                "'numpy.ctypeslib' in sys.modules, tempfile.tempdir)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout == "False\n"
+        assert out.stdout == "False False None\n"
 
     def test_processes_racing_on_a_cold_cache(self, fresh_kernel):
         env = dict(os.environ, XDG_CACHE_HOME=str(fresh_kernel / "cache"),
