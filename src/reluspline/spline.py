@@ -4,8 +4,8 @@ Among all functions interpolating a dataset, the one of least representation
 cost is the linear spline through the points, with the two unbounded end
 slopes chosen to minimize max(total slope variation, |l0 + lN|).  The
 regularized variant trades data fit against that same cost.  It is a convex
-program in the fitted values, solved exactly (an LP for absolute loss, a
-box-constrained dual for squared loss), and it returns its duality gap.
+program in the fitted values, solved exactly by a numpy active-set method on
+its dual, and it returns its duality gap and iteration count.
 """
 
 from __future__ import annotations
@@ -89,6 +89,9 @@ class InterpolationResult:
     cost: float
     # relative duality gap of a regularized fit; interpolation is exact
     gap: float = 0.0
+    # active-set passes of a regularized fit, each a step or a test of the
+    # multipliers; interpolation takes none
+    iterations: int = 0
 
     @property
     def end_slopes(self) -> tuple[float, float]:
@@ -186,73 +189,128 @@ def _slope_operators(xs):
     return np.diff(secant, axis=0), secant[0] + secant[-1]
 
 
-def _fit_absolute(xs, ys, lam):
-    """HiGHS LP over (yhat, e, a, t); returns yhat and the dual objective.
+def _fit(xs, ys, lam, squared):
+    """Exact regularized fit; returns yhat, a dual lower bound, iterations.
 
-    Minimizes sum e + lam t with e >= |yhat - y|, a >= |D yhat|,
-    sum a <= t and sum a +- c . yhat <= 2 t, so t >= cost(yhat).
+    With A = [D; c], cost(yhat) is the largest v . A yhat over the polytope
+    P: |v_j| + |v_c| <= 1, |v_c| <= 1/2.  So with u = (lam/2) v the squared
+    loss has the dual min |y - A^T u|^2 over u in (lam/2) P, with yhat =
+    y - A^T u, and the absolute loss the LP max 2 y . A^T u over the same u
+    with |2 A^T u| <= 1, whose multipliers on those rows are y - yhat.  With
+    A^T = QR and z = R u, the first is the projection of z0 = Q^T y onto a
+    polytope in z and the second an LP over it; z is well scaled where u is
+    not, since A differences the secant slopes.  One primal active-set method
+    solves both.  Its working set keeps an orthonormal basis of its rows and
+    the inverse of their triangle, each LP pass puts z back on those rows,
+    and a drop follows Bland's rule.  A solve fixes the sign of v_c, which
+    makes the polytope simple; when the multipliers show that the other sign
+    does better, it continues there once.
     """
-    from scipy.optimize import linprog
+    a = np.vstack(_slope_operators(xs))
+    m, n = a.shape
+    k = m - 1
+    q, r = np.linalg.qr(a.T)
+    rit = np.linalg.inv(r).T
+    z0 = q.T @ ys
 
-    jumps, c = _slope_operators(xs)
-    m, n = jumps.shape
-    eye_n, eye_m, zero = np.eye(n), np.eye(m), np.zeros
-    # rows: e bounds (2n), a bounds (2m), then the three bounds on t
-    a_ub = np.column_stack([
-        np.vstack([eye_n, -eye_n, jumps, -jumps, zero((1, n)), c, -c]),
-        np.vstack([-eye_n, -eye_n, zero((2 * m + 3, n))]),
-        np.vstack([zero((2 * n, m)), -eye_m, -eye_m, np.ones((3, m))]),
-        np.concatenate([zero(2 * n + 2 * m), [-1.0, -2.0, -2.0]]),
-    ])
-    b_ub = np.concatenate([ys, -ys, zero(2 * m + 3)])
-    cost = np.concatenate([zero(n), np.ones(n), zero(m), [lam]])
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"regularized-fit LP failed: {res.message}")
-    return res.x[:n], float(b_ub @ res.ineqlin.marginals)
+    def rows(sign):
+        """Unit columns in z, bounds and norms of the rows v_c +- v_j <= 1,
+        v_c <= 1/2 and -v_c <= 0, v_c read as sign v_c; then +-2 A^T u <= 1."""
+        rc = sign * rit[:, k:]
+        t = np.hstack([rit[:, :k] + rc, rc - rit[:, :k], rc, -rc]
+                      + ([] if squared else [2.0 * q.T, -2.0 * q.T]))
+        h = np.concatenate([np.full(2 * k, 0.5 * lam), [0.25 * lam, 0.0],
+                            np.ones(0 if squared else 2 * n)])
+        norm = np.linalg.norm(t, axis=0)
+        return t / norm, h / norm, norm
 
+    def factor():
+        """Basis and inverse triangle of the working rows, from scratch."""
+        w = len(work)
+        basis[:, :w], tri = np.linalg.qr(t[:, work])
+        rinv[:w, :w] = np.linalg.inv(tri)
+        return basis[:, :w], rinv[:w, :w]
 
-def _fit_squared(xs, ys, lam):
-    """Exact squared-loss fit; returns yhat and a dual lower bound.
-
-    cost = max over theta in [0, 1] of ||M_theta yhat||_1 with
-    M_theta = [(1 - theta/2) D; (theta/2) c].  For fixed theta the fit is a
-    generalized lasso whose dual is box-constrained least squares in u, with
-    yhat = y - (lam/2) M^T u and dual value ||y||^2 - ||yhat||^2.  The optimal
-    dual value is concave in theta, with slope of the sign of |sigma| - T at
-    yhat, so theta is 0, 1 or a root of that slope.
-    """
-    from scipy.optimize import brentq, lsq_linear
-
-    jumps, c = _slope_operators(xs)
-    solved = {}
-
-    def solve(theta):
-        if theta not in solved:
-            m = np.vstack([(1.0 - 0.5 * theta) * jumps, 0.5 * theta * c])
-            # BVLS can need more than its default of one pass per variable
-            res = lsq_linear(0.5 * lam * m.T, ys, bounds=(-1.0, 1.0),
-                             method="bvls", max_iter=10 * ys.size)
-            if res.status <= 0:
-                raise RuntimeError(
-                    f"regularized-fit dual failed: {res.message}")
-            solved[theta] = ys - 0.5 * lam * (m.T @ res.x)
-        return solved[theta]
-
-    def slope(theta):
-        yhat = solve(theta)
-        return abs(c @ yhat) - np.abs(jumps @ yhat).sum()
-
-    if slope(0.0) <= 0.0:
-        theta = 0.0
-    elif slope(1.0) >= 0.0:
-        theta = 1.0
+    t, h, norm = rows(1.0)
+    z, work, free = np.zeros(m), [], np.ones(h.size, bool)
+    basis, rinv = np.zeros((m, m)), np.zeros((m, m))
+    stationary = flipped = False
+    for iterations in range(1, 10 * h.size):
+        w = len(work)
+        b, ri = basis[:, :w], rinv[:w, :w]
+        if not squared:  # long LP steps drift off the working rows
+            z += b @ (ri.T @ (h[work] - z @ t[:, work]))
+        grad = z - z0 if squared else -2.0 * z0
+        proj = b.T @ grad
+        step = b @ proj - grad
+        # a step or a rate at rounding level is zero
+        size = math.sqrt(step @ step)
+        if not stationary and w < m and size > 1e-12 * math.sqrt(grad @ grad):
+            rate = step @ t
+            hit = free & (rate > 1e-9 * size)
+            ratio = np.full(h.size, np.inf)
+            ratio[hit] = np.maximum(h - z @ t, 0.0)[hit] / rate[hit]
+            i = int(ratio.argmin())
+            if ratio[i] < (1.0 if squared else np.inf):
+                z += ratio[i] * step
+                # Gram-Schmidt, twice, onto the working basis
+                s = b.T @ t[:, i]
+                s += b.T @ (t[:, i] - b @ s)
+                col = t[:, i] - b @ s
+                rho = math.sqrt(col @ col)
+                basis[:, w] = col / rho
+                rinv[:w, w], rinv[w, :w] = -(ri @ s) / rho, 0.0
+                rinv[w, w] = 1.0 / rho
+                work.append(i)
+                free[i] = False
+                continue
+            if squared:
+                z, stationary = z + step, True
+                continue
+        stationary = False
+        mult = -ri @ proj
+        if mult.size and mult.min() < 0.0:
+            # Bland's rule: of the negative multipliers, the least row
+            drop = np.where(mult < 0.0, work, h.size).argmin()
+            free[work.pop(int(drop))] = True
+            factor()
+            continue
+        # optimal with v_c of one sign; at v_c = 0 the other sign is better
+        # unless the bound's multiplier is at most twice the slope rows'
+        mu, rows_in = mult / norm[work], np.array(work)
+        if (not flipped and 2 * k + 1 in work and
+                mu[rows_in == 2 * k + 1][0] > 2 * mu[rows_in < 2 * k].sum()):
+            flipped = True
+            t, h, norm = rows(-1.0)
+            factor()
+            continue
+        break
     else:
-        theta = brentq(slope, 0.0, 1.0)
-    yhat = solve(theta)
-    # ||y||^2 - ||yhat||^2, without cancellation when yhat is close to y
-    return yhat, float((ys - yhat) @ (ys + yhat))
+        raise RuntimeError("regularized fit did not converge")
+    # z exactly on the working rows, plus the part of z0 (squared loss) or
+    # of z (LP) off them; a full working set leaves no such part, so a z of
+    # order lam stays accurate however large y is
+    b, ri = factor()
+    rest = (z0 if squared else z) if len(work) < m else np.zeros(m)
+    z = b @ (ri.T @ h[work]) + rest - b @ (b.T @ rest)
+    if squared:
+        yhat = ys.mean() + q @ (z0 - z)
+    else:
+        mu = 2.0 * (ri @ (b.T @ z0)) / norm[work]
+        box = np.array(work, int) - 2 * k - 2
+        yhat = ys.copy()
+        yhat[box[box >= 0] % n] += np.where(box < n, -mu, mu)[box >= 0]
+        if box.min(initial=0) >= 0:
+            # no slope row: A yhat = 0, so yhat is the y of a point off the box
+            yhat[:] = ys[(free[-2 * n:-n] & free[-n:]).argmax()]
+    # the dual value at u scaled into P (and the LP's box): a lower bound
+    u = rit.T @ z
+    au = a.T @ u
+    au /= max(1.0, (np.abs(u[:k]) + abs(u[k])).max(initial=0.0) / (0.5 * lam),
+              abs(u[k]) / (0.25 * lam),
+              0.0 if squared else 2.0 * np.abs(au).max())
+    dual = au @ (2.0 * ys - au) if squared else 2.0 * (ys @ au)
+    return yhat, float(dual), iterations
 
 
 def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
@@ -260,16 +318,18 @@ def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
 
     The minimizer is piecewise linear with breakpoints only at the data
     abscissas, so the problem is convex in the fitted values: an LP for
-    ``loss="absolute"`` and a QP for ``loss="squared"``.  The result's
-    ``gap`` is the relative duality gap (objective - dual bound) / objective.
+    ``loss="absolute"`` and a QP for ``loss="squared"``, both solved exactly
+    through their duals in finitely many active-set passes.  The result's
+    ``gap`` is the relative duality gap (objective - dual bound) / objective,
+    with the bound the dual value at a feasible point, and ``iterations``
+    counts the passes.
 
     Both are computed with y measured from the middle of its range.  The
     problem is invariant under that shift, but rounding is not: it scales
     with max |y|, so data of offset c and spread s would see the gap drowned
     by noise of about eps*c.  Shifted, constant data fit exactly with
     objective 0 and gap 0, and the noise scales with s.  What remains is
-    rounding in the cost term, multiplied by lam: the tent (0,0), (1,1),
-    (2,0) at lam=1e6 reports a gap of 1.3e-9 on an objective of 2/3.
+    rounding in the cost term, multiplied by lam.
     """
     if not (0.0 < lam < math.inf):
         raise ValueError("lam must be positive and finite")
@@ -280,11 +340,10 @@ def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
     xs, ys = d.xs, d.ys
     shift = 0.5 * (ys.max() + ys.min())
     ys = ys - shift
-    solver = _fit_squared if loss == "squared" else _fit_absolute
-    yhat, dual = solver(xs, ys, lam)
+    yhat, dual, iterations = _fit(xs, ys, lam, loss == "squared")
     l0, ln, value = optimal_end_slopes(np.diff(yhat) / np.diff(xs))
     r = yhat - ys
     objective = (r @ r if loss == "squared" else np.abs(r).sum()) + lam * value
     gap = max(objective - dual, 0.0) / objective if objective > 0 else 0.0
     return InterpolationResult(_build_spline(xs, yhat + shift, l0, ln), value,
-                               float(gap))
+                               float(gap), iterations)

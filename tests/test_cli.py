@@ -322,16 +322,29 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
 
-def test_import_defers_scipy_solvers(tmp_path):
-    # only regularized_fit needs scipy, which it imports on first use, so
-    # the bump, both estimators and every CLI command but those fits leave
-    # all of scipy unloaded
+def run_python(code, cwd):
+    """Run code in a fresh interpreter that imports reluspline from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_no_call_loads_scipy(tmp_path):
+    # scipy is a test dependency only: the fits of both losses, the bump,
+    # both estimators and every CLI command leave all of it unloaded
     write(tmp_path / "f.json", pwl.absval().to_dict())
     write(tmp_path / "data.json",
           {"points": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]})
     code = textwrap.dedent("""\
         import sys
-        from reluspline import cli, highdim
+        from reluspline import cli, highdim, spline
+        d = spline.Dataset(((0, 0), (1, 1), (2, 0), (3, 0.5)))
+        spline.regularized_fit(d, "squared", 0.3)
+        spline.regularized_fit(d, "absolute", 0.3)
         highdim.bump_eval(2.5, 3)
         highdim.hessian_decay_estimate(3, 4.0, 10)
         highdim.laplacian_flux_estimate(
@@ -348,10 +361,18 @@ def test_import_defers_scipy_solvers(tmp_path):
             assert cli.main(args) == 0, args
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert run_python(code, tmp_path).splitlines()[-1] == "[]"
+
+
+def test_fits_run_with_scipy_blocked(tmp_path):
+    # with scipy unimportable, both losses still fit and certify
+    code = textwrap.dedent("""\
+        import sys
+        sys.modules["scipy"] = None
+        from reluspline import spline
+        d = spline.Dataset(((0, 0), (1, 1), (2, 0), (3, 0.5)))
+        for loss in ("squared", "absolute"):
+            assert spline.regularized_fit(d, loss, 0.3).gap <= 1e-9, loss
+        print("ok")
+        """)
+    assert run_python(code, tmp_path).splitlines()[-1] == "ok"

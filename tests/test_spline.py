@@ -336,6 +336,46 @@ def squared_slsqp_value(d, lam):
     return float(r @ r) + lam * cost
 
 
+def squared_pattern_optimum(d, lam):
+    """Least squared-loss objective by enumerating patterns (n <= 8 or so).
+
+    The cost of yhat is max(T, (T + |sigma|) / 2), with T the sum of |slope
+    jumps| and sigma the first plus the last secant slope.  A pattern fixes
+    the sign of each slope jump (0 where fused) and the regime: T alone,
+    (T + sigma) / 2 or (T - sigma) / 2, the kinks T = sigma and T = -sigma,
+    or sigma = 0.  On a pattern the cost is a linear form that never exceeds
+    the true cost, so every pattern's least-squares candidate has a true
+    objective at or above the optimum, and the optimum's own pattern gives
+    the optimum.
+    """
+    n, ys = d.n, d.ys
+    secants = np.zeros((n - 1, n))
+    i = np.arange(n - 1)
+    secants[i, i] = -1.0 / np.diff(d.xs)
+    secants[i, i + 1] = 1.0 / np.diff(d.xs)
+    jumps, sigma = np.diff(secants, axis=0), secants[0] + secants[-1]
+
+    def objective(yhat):
+        t = np.abs(jumps @ yhat).sum()
+        r = yhat - ys
+        return r @ r + lam * max(t, 0.5 * (t + abs(sigma @ yhat)))
+
+    best = np.inf
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=n - 2):
+        signs = np.array(signs)
+        t = signs @ jumps
+        fused = jumps[signs == 0.0]
+        for form, kink in ((t, None), (0.5 * (t + sigma), None),
+                           (0.5 * (t - sigma), None), (t, sigma - t),
+                           (t, sigma + t), (t, sigma)):
+            eq = fused if kink is None else np.vstack([fused, kink])
+            yhat = ys - 0.5 * lam * form
+            if eq.size:
+                yhat = yhat - eq.T @ np.linalg.lstsq(eq.T, yhat, rcond=None)[0]
+            best = min(best, objective(yhat))
+    return best
+
+
 class TestRegularizedFit:
     def test_rejects_bad_lambda(self):
         d = Dataset(((0, 0), (1, 1)))
@@ -406,12 +446,12 @@ class TestRegularizedFit:
         # the objective recomputed here, data loss plus lam times the
         # representation cost of the returned spline, is the one that the
         # reported cost and gap describe, and the solver's dual bound stays
-        # below it; the solvers see y measured from the middle of its range.
-        # At lam = 1e4 the squared-loss fit of the last set keeps a slope of
-        # about 1e-11 and reports a gap of about 1e-6; elsewhere the gap is
-        # rounding
-        solve = {"squared": spline._fit_squared,
-                 "absolute": spline._fit_absolute}[loss]
+        # below it; the solver sees y measured from the middle of its range.
+        # Every gap here is rounding.  The last set is flat at both lam, and
+        # at lam = 1e6 a last-bit difference between fused fitted values
+        # would cost about 1e-10 of an objective of order 1, which the shift
+        # back by the middle of y rounds differently: the gaps agree only
+        # because the flat fit comes back exactly flat
         rng = np.random.default_rng(34)
         cases = [(random_dataset(rng, 4, 12), float(rng.uniform(0.05, 3.0)))
                  for _ in range(20)]
@@ -425,7 +465,7 @@ class TestRegularizedFit:
             objective = (float(r @ r) if loss == "squared"
                          else float(np.abs(r).sum())) + lam * cost
             mid = 0.5 * (d.ys.max() + d.ys.min())
-            bound = solve(d.xs, d.ys - mid, lam)[1]
+            bound = spline._fit(d.xs, d.ys - mid, lam, loss == "squared")[1]
             assert bound <= objective * (1.0 + 1e-12)
             assert res.gap == pytest.approx((objective - bound) / objective,
                                             rel=1e-3, abs=1e-12)
@@ -499,3 +539,75 @@ class TestRegularizedFit:
             obj = fit_objective(d, "squared", lam, res)
             assert obj <= squared_slsqp_value(d, lam) + 1e-9 * (1.0 + obj)
             assert res.gap <= 1e-9
+
+    def test_found_set_is_exact_at_large_lambda(self):
+        # the optimum here is the flat fit at the mean, objective 0.6875; a
+        # BVLS dual with a search over theta stopped 9.1e-7 above it at
+        # lam = 1e4
+        d = Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5)))
+        for lam in (1e4, 1e6):
+            res = spline.regularized_fit(d, "squared", lam)
+            assert fit_objective(d, "squared", lam, res) == \
+                pytest.approx(0.6875, rel=1e-10)
+            assert res.gap <= 1e-9
+
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    @pytest.mark.parametrize("n, lam",
+                             [(100, 100.0), (200, 0.3), (200, 100.0)])
+    def test_large_sets_certified(self, loss, n, lam):
+        # n - 1 dual variables; a BVLS dual reported a squared-loss gap of
+        # 2.8e-8 at n = 100 and of 2.6e-7 at n = 200, lam = 100
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.uniform(-5, 5, n))
+        d = Dataset(tuple(zip(xs, rng.uniform(-5, 5, n))))
+        res = spline.regularized_fit(d, loss, lam)
+        assert 0.0 <= res.gap <= 1e-9
+        assert res.iterations >= 1
+
+    def test_iterations_are_reported(self):
+        d = Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5)))
+        assert spline.min_norm_interpolant(d).iterations == 0
+        # one step to the flat fit, whose working set is empty, and one pass
+        # that finds no multiplier to test
+        assert spline.regularized_fit(d, "squared", 1e4).iterations == 2
+        assert spline.regularized_fit(d, "absolute", 0.1).iterations >= 3
+
+    def test_absolute_matches_highs_on_many_sets(self):
+        # n up to 40, lam log-uniform on [1e-3, 1e3]; then sets on a line,
+        # with repeated y and constant
+        rng = np.random.default_rng(40)
+        cases = [(random_dataset(rng, 2, 40), float(10 ** rng.uniform(-3, 3)))
+                 for _ in range(200)]
+        xs = np.sort(rng.uniform(-5, 5, 15))
+        special = [Dataset(tuple(zip(xs, 0.7 * xs - 2.0))),
+                   Dataset(tuple(zip(xs, np.round(rng.uniform(-3, 3, 15))))),
+                   Dataset(tuple(zip(xs, np.full(15, 2.5))))]
+        cases += [(d, lam) for d in special for lam in (1e-3, 0.1, 10.0, 1e3)]
+        for d, lam in cases:
+            res = spline.regularized_fit(d, "absolute", lam)
+            obj = fit_objective(d, "absolute", lam, res)
+            lp = absolute_lp_optimum(d, lam)
+            if np.ptp(d.ys) == 0.0:
+                # the optimum is 0, which HiGHS reaches up to its rounding
+                assert obj == 0.0 and abs(lp) <= 1e-12
+            else:
+                assert obj == pytest.approx(lp, rel=1e-10)
+            assert 0.0 <= res.gap <= 1e-9
+
+    def test_squared_matches_pattern_oracle(self):
+        # the solver is at most 1e-12 relative above the enumerated optimum,
+        # plus the rounding of lam * cost: each fitted value carries an
+        # error of about eps * max|y|, which moves each of the n - 1 secant
+        # slopes by up to 2 eps max|y| / min dx
+        rng = np.random.default_rng(41)
+        sets = [random_dataset(rng, 2, 7) for _ in range(12)]
+        sets.append(Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5))))
+        eps = np.finfo(float).eps
+        for d, lam in itertools.product(sets, (1e-2, 1.0, 1e2, 1e4)):
+            res = spline.regularized_fit(d, "squared", lam)
+            obj = fit_objective(d, "squared", lam, res)
+            best = squared_pattern_optimum(d, lam)
+            slack = lam * 4.0 * d.n * eps * np.abs(d.ys).max() \
+                / np.diff(d.xs).min()
+            assert obj <= best * (1.0 + 1e-12) + slack
+            assert 0.0 <= res.gap <= 1e-9
