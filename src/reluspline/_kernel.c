@@ -14,7 +14,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
@@ -133,59 +132,39 @@ void flux_values(int64_t n, int64_t d, int64_t k,
 
 typedef unsigned __int128 u128;
 
-/* shortest() gives the fewest digits D that read back as x > 0, the closest
-   if several, as x ~ D 10^e10.  For 2^-36 <= x < 2^57 it is exact in 128-bit
-   fixed point: with x = M 2^E and k = 16 - floor(log10 2^(E + 52)), y = x 10^k
-   in [10^16, 2 10^17) is 32 M 5^k with 5 - E - k fraction bits, and the
-   half-ulp interval around it is 16 5^k (8 5^k below a power of two).  The
-   multiples of 10^j on either side of y are tested against it, ends included
-   when M is even, as strtod rounds ties to even.  Elsewhere it bisects on p
-   for the closest p-digit decimal, "%.{p-1}e", or the next one up (which can
-   below a power of two, where the closest cannot) reading back via strtod. */
+/* shortest() gives the fewest digits D that read back as x, the closest if
+   several, as x ~ D 10^e10, for 2^-36 <= x < 2^57; 0 for any other x.  This
+   window is where 128-bit fixed point is exact: with x = M 2^E and k = 16 -
+   floor(log10 2^(E + 52)), y = x 10^k in [10^16, 2 10^17) is 32 M 5^k with
+   5 - E - k fraction bits, and the half-ulp interval around it is 16 5^k
+   (8 5^k below a power of two); 5^k grows 2.3 bits per decade.  The multiples
+   of 10^j on either side of y are tested against it, ends included when M is
+   even, as reading a decimal back rounds ties to even. */
 static uint64_t shortest(double x, int *e10)
 {
     uint64_t bits, best = 0;
     memcpy(&bits, &x, sizeof bits);
-    const int be = (int)(bits >> 52);  /* x > 0: the biased exponent */
+    const int be = (int)(bits >> 52);  /* the biased exponent */
     const uint64_t M = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
     const int k = 16 - (int)floor((be - 1023) * 0.30102999566398120);
-    if (k >= 0 && k <= 27) {
-        uint64_t p5 = 1;
-        for (int i = 0; i < k; i++)
-            p5 *= 5;
-        /* inside the interval: dlo < lo and dhi < hi, ends in if M is even */
-        const int s = 1080 - be - k;
-        const u128 y = (u128)(32 * M) * p5, hi = (u128)p5 * 16 + !(M & 1),
-                   lo = M == 1ULL << 52 ? (u128)p5 * 8 + 1 : hi;
-        const uint64_t Y = (uint64_t)(y >> s);
-        for (uint64_t q = 1; q <= 100000000000000000ULL; q *= 10) {
-            const uint64_t c = Y / q * q;
-            const u128 dlo = y - ((u128)c << s), dhi = ((u128)q << s) - dlo;
-            if (dlo >= lo && dhi >= hi)
-                break;
-            best = dlo < lo && (dhi >= hi || dlo < dhi + !(c / q & 1))
-                   ? c : c + q;
-        }
-        *e10 = -k;
-        return best;
+    if (k < 0 || k > 27)
+        return 0;
+    uint64_t p5 = 1;
+    for (int i = 0; i < k; i++)
+        p5 *= 5;
+    /* inside the interval: dlo < lo and dhi < hi, ends in if M is even */
+    const int s = 1080 - be - k;
+    const u128 y = (u128)(32 * M) * p5, hi = (u128)p5 * 16 + !(M & 1),
+               lo = M == 1ULL << 52 ? (u128)p5 * 8 + 1 : hi;
+    const uint64_t Y = (uint64_t)(y >> s);
+    for (uint64_t q = 1; q <= 100000000000000000ULL; q *= 10) {
+        const uint64_t c = Y / q * q;
+        const u128 dlo = y - ((u128)c << s), dhi = ((u128)q << s) - dlo;
+        if (dlo >= lo && dhi >= hi)
+            break;
+        best = dlo < lo && (dhi >= hi || dlo < dhi + !(c / q & 1)) ? c : c + q;
     }
-    /* most doubles need 16 or 17 digits: try 15 first */
-    for (int lo = 1, hi = 17, p = 15; lo <= hi; p = (lo + hi) / 2) {
-        char s[40], *c;
-        snprintf(s, sizeof s, "%.*e", p - 1, x);
-        memmove(s + 1, s + 1 + (p > 1), sizeof s - 2);  /* drop the point */
-        uint64_t n, d = strtoull(s, &c, 10);
-        const int e = atoi(c + 1) - (p - 1);
-        for (n = d; n <= d + 1; n++) {
-            snprintf(s, sizeof s, "%llue%d", (unsigned long long)n, e);
-            if (strtod(s, NULL) == x)
-                break;
-        }
-        if (n <= d + 1)
-            best = n, *e10 = e, hi = p - 1;
-        else
-            lo = p + 1;
-    }
+    *e10 = -k;
     return best;
 }
 
@@ -199,14 +178,27 @@ static int put_digits(char *o, uint64_t d)  /* returns the digit count */
     return n;
 }
 
-static char *put_repr(char *o, double x)
+/* the interpreter's PyOS_double_to_string and PyMem_Free, passed in, so the
+   library needs no Python headers and has no undefined symbol */
+typedef char *(*repr_fn)(double, char, int, int, int *);
+typedef void (*free_fn)(void *);
+
+/* repr(x) at o; NULL if the interpreter could not allocate it */
+static char *put_repr(char *o, double x, repr_fn repr, free_fn release)
 {
-    if (signbit(x) && !isnan(x))
-        *o++ = '-', x = -x;
-    if (!isfinite(x) || x == 0.0)
-        return memcpy(o, isnan(x) ? "nan" : x ? "inf" : "0.0", 3), o + 3;
     int e10 = 0;
-    uint64_t d = shortest(x, &e10);
+    uint64_t d = shortest(fabs(x), &e10);
+    if (!d) {  /* outside the window: float.__repr__'s own call */
+        char *s = repr(x, 'r', 0, 2 /* Py_DTSF_ADD_DOT_0 */, NULL);
+        if (!s)
+            return NULL;
+        const size_t n = strlen(s);
+        memcpy(o, s, n);
+        release(s);
+        return o + n;
+    }
+    if (signbit(x))
+        *o++ = '-';
     for (; d % 10 == 0; d /= 10)
         e10++;
     char g[20];
@@ -224,16 +216,18 @@ static char *put_repr(char *o, double x)
 }
 
 /* rows x cols doubles as csv.writer writes their repr, a row led by its index
-   if numbered; returns the bytes written, at most rows * (25 * cols + 22) */
+   if numbered; returns the bytes written, at most rows * (25 * cols + 22), or
+   -1 if repr could not allocate.  repr needs the GIL: the caller holds it. */
 int64_t format_table(int64_t rows, int64_t cols, const double *table,
-                     int numbered, char *out)
+                     int numbered, char *out, repr_fn repr, free_fn release)
 {
     char *o = out;
     for (int64_t i = 0; i < rows; i++) {
         if (numbered)
             o += put_digits(o, (uint64_t)i), *o++ = ',';
-        for (int64_t j = 0; j < cols; j++)
-            o = put_repr(o, table[i * cols + j]), *o++ = ',';
+        for (int64_t j = 0; j < cols; j++, *o++ = ',')
+            if (!(o = put_repr(o, table[i * cols + j], repr, release)))
+                return -1;
         o[-1] = '\r', *o++ = '\n';
     }
     return o - out;

@@ -1,6 +1,7 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
 of ``descend`` (training), ``flux_values`` (the flux estimator's per-sample
-pass) and ``format_table`` (the CSV writer), which pass arrays as addresses."""
+pass) and ``format_table`` (the CSV writer, run with the GIL held), which pass
+arrays as addresses."""
 
 import contextlib
 import ctypes
@@ -62,12 +63,14 @@ def load() -> ctypes.CDLL:
                     f"{getattr(exc, 'stderr', None) or exc}") from None
             os.replace(f"{tmp}/lib.so", path)
     lib = ctypes.CDLL(path)
+    # format_table calls repr, which needs the GIL; ctypes raises its errors
+    lib.format_table = ctypes.PyDLL(path).format_table
     i64, real, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.descend.argtypes = [i64, i64, ptr, ptr, real, real, i64, real] + [ptr] * 4
     lib.descend.restype = ctypes.c_int
     lib.flux_values.argtypes = [i64] * 3 + [ptr] * 6
     lib.flux_values.restype = None
-    lib.format_table.argtypes = [i64, i64, ptr, ctypes.c_int, ptr]
+    lib.format_table.argtypes = [i64, i64, ptr, ctypes.c_int] + [ptr] * 3
     lib.format_table.restype = i64
     return lib
 
@@ -95,8 +98,10 @@ def write_csv(path: str, header, table, numbered: bool = False):
     table = np.ascontiguousarray(table, dtype=float)
     # format_table's bound; np.empty leaves the pages it never writes untouched
     buf = np.empty(len(table) * (25 * table.shape[1] + 22), np.uint8)
+    api = ctypes.pythonapi
     size = load().format_table(*table.shape, table.ctypes.data, numbered,
-                               buf.ctypes.data)
+                               buf.ctypes.data, api.PyOS_double_to_string,
+                               api.PyMem_Free)
     with open(path, "wb") as fh:
         fh.write(f"{','.join(header)}\r\n".encode())
         fh.write(buf[:size])

@@ -1,5 +1,14 @@
 """``_kernel.write_csv``, whose rows ``_kernel.c`` formats in C, against the
-Python writer in ``csv_oracle.py``: every file must match byte for byte."""
+Python writer in ``csv_oracle.py``: every file must match byte for byte.
+
+Cells inside ``shortest()``'s window, 2^-36 <= |x| < 2^57, are formatted by
+the C code itself; all others (zeros, subnormals, nan, infinities, tiny and
+huge values) by the interpreter's own repr routine, which ``format_table``
+calls with the GIL held."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,3 +98,26 @@ class TestMatchesOracle:
     def test_row_indices_past_ten_thousand(self, tmp_path):
         assert_matches_oracle(tmp_path, np.linspace(-1.0, 1.0, 3 * 12_345),
                               numbered=True)
+
+
+class TestInterpreterRepr:
+    def test_out_of_window_cells_keep_the_gil(self, tmp_path):
+        # the debug allocator aborts the process ("Fatal Python error") when
+        # repr allocates without the GIL; a cold cache builds the library in
+        # the child, so its load is checked too
+        table = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+                          1e300, 0.1]).reshape(-1, 3)
+        np.save(tmp_path / "cells.npy", table)
+        code = ("import sys, numpy as np; from reluspline import _kernel; "
+                "_kernel.write_csv(sys.argv[1] + '/c.csv', ['a', 'b', 'c'], "
+                "np.load(sys.argv[1] + '/cells.npy'))")
+        env = dict(os.environ, PYTHONMALLOC="debug",
+                   XDG_CACHE_HOME=str(tmp_path / "cache"),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        write_csv(str(tmp_path / "oracle.csv"), ["a", "b", "c"], table)
+        assert ((tmp_path / "c.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())

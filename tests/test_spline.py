@@ -564,6 +564,19 @@ class TestRegularizedFit:
         assert 0.0 <= res.gap <= 1e-9
         assert res.iterations >= 1
 
+    def test_end_slope_multiplier_changes_sign(self):
+        # gaps spanning four decades; on three of the squared fits, a solve
+        # on rows +-v_j +- v_c <= 1 and |v_c| <= 1/2, which does not fix the
+        # sign of v_c and so meets degenerate vertices, does not converge or
+        # stops above gap 1e-9
+        for s in range(20):
+            rng = np.random.default_rng([28, s])
+            xs = np.cumsum(10 ** rng.uniform(-3, 1, 30))
+            d = Dataset(tuple(zip(xs, rng.uniform(-5, 5, 30))))
+            for loss in ("squared", "absolute"):
+                for lam in (1e-3, 1e-2, 0.1, 1.0):
+                    assert spline.regularized_fit(d, loss, lam).gap <= 1e-9
+
     def test_iterations_are_reported(self):
         d = Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5)))
         assert spline.min_norm_interpolant(d).iterations == 0
