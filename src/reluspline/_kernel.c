@@ -13,7 +13,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
@@ -132,49 +131,71 @@ void flux_values(int64_t n, int64_t d, int64_t k,
 
 typedef unsigned __int128 u128;
 
+/* 5^k for k = 0..27; 10^k = 5^k << k */
+#define P4(a) (a), 5 * (a), 25 * (a), 125 * (a)
+static const uint64_t pow5[28] = {
+    P4(1ULL), P4(625ULL), P4(390625ULL), P4(244140625ULL), P4(152587890625ULL),
+    P4(95367431640625ULL), P4(59604644775390625ULL)};
+
 /* shortest() gives the fewest digits D that read back as x, the closest if
-   several, as x ~ D 10^e10, for 2^-36 <= x < 2^57; 0 for any other x.  This
+   several, as x = D 10^e10, for 2^-36 <= x < 2^57; 0 for any other x.  This
    window is where 128-bit fixed point is exact: with x = M 2^E and k = 16 -
    floor(log10 2^(E + 52)), y = x 10^k in [10^16, 2 10^17) is 32 M 5^k with
-   5 - E - k fraction bits, and the half-ulp interval around it is 16 5^k
-   (8 5^k below a power of two); 5^k grows 2.3 bits per decade.  The multiples
-   of 10^j on either side of y are tested against it, ends included when M is
-   even, as reading a decimal back rounds ties to even. */
+   s = 5 - E - k fraction bits, and the half-ulp interval around it is 16 5^k
+   (8 5^k below a power of two); 5^k grows 2.3 bits per decade.  D 10^-k
+   reads back as x if y - lo < D 2^s < y + hi, lo and hi being those
+   half-widths plus 1 when M is even, as reading back rounds ties to even:
+   if A < D <= B, for A = floor((y - lo) / 2^s), B = floor((y + hi - 1) / 2^s).
+   The multiples of 10 there are 10 times the integers in (A / 10, B / 10],
+   so a digit comes off A, B and Y = floor(y / 2^s) while floor(A / 10) <
+   floor(B / 10), and q = 10^j counts them.  Then no D ends in 0, and Y q and
+   (Y + 1) q are the multiples of q on either side of y: any other inside is
+   farther from y than one of them, inside too as the interval holds y.  So
+   when both are inside, comparing 2 y + (Y & 1) with (2 Y + 1) q 2^s picks
+   D, a tie going to the even one.  In k, 78913 / 2^18 stands for log10 2
+   and >> floors, exactly for every exponent. */
 static uint64_t shortest(double x, int *e10)
 {
-    uint64_t bits, best = 0;
+    uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     const int be = (int)(bits >> 52);  /* the biased exponent */
     const uint64_t M = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
-    const int k = 16 - (int)floor((be - 1023) * 0.30102999566398120);
+    const int k = 16 - ((be - 1023) * 78913 >> 18);
     if (k < 0 || k > 27)
         return 0;
-    uint64_t p5 = 1;
-    for (int i = 0; i < k; i++)
-        p5 *= 5;
-    /* inside the interval: dlo < lo and dhi < hi, ends in if M is even */
     const int s = 1080 - be - k;
-    const u128 y = (u128)(32 * M) * p5, hi = (u128)p5 * 16 + !(M & 1),
-               lo = M == 1ULL << 52 ? (u128)p5 * 8 + 1 : hi;
-    const uint64_t Y = (uint64_t)(y >> s);
-    for (uint64_t q = 1; q <= 100000000000000000ULL; q *= 10) {
-        const uint64_t c = Y / q * q;
-        const u128 dlo = y - ((u128)c << s), dhi = ((u128)q << s) - dlo;
-        if (dlo >= lo && dhi >= hi)
-            break;
-        best = dlo < lo && (dhi >= hi || dlo < dhi + !(c / q & 1)) ? c : c + q;
-    }
-    *e10 = -k;
-    return best;
+    const u128 y = (u128)(32 * M) * pow5[k], hi = (u128)pow5[k] * 16 + !(M & 1),
+               lo = M == 1ULL << 52 ? (u128)pow5[k] * 8 + 1 : hi;
+    uint64_t A = (uint64_t)((y - lo) >> s), B = (uint64_t)((y + hi - 1) >> s),
+             Y = (uint64_t)(y >> s), q = 1;
+    int j = 0;
+    for (; A / 10 < B / 10; j++, q *= 10)
+        A /= 10, B /= 10, Y /= 10;
+    const u128 mid = (u128)((2 * Y + 1) * q) << s;
+    *e10 = j - k;
+    return Y + ((Y <= A) | ((Y < B) & (2 * y + (Y & 1) > mid)));
 }
 
-static int put_digits(char *o, uint64_t d)  /* returns the digit count */
+static const char pairs[201] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/* d in decimal at o; returns its digit count, read off its bit length (log10
+   2 ~ 1233 / 4096) and one power of 10.  Right to left, two digits per
+   division by 100, from pairs. */
+static int put_digits(char *o, uint64_t d)
 {
-    int n = 1;
-    for (uint64_t t = d; t >= 10; t /= 10)
-        n++;
-    for (int i = n; i--; d /= 10)
-        o[i] = (char)('0' + d % 10);
+    const int t = (64 - __builtin_clzll(d | 1)) * 1233 >> 12;
+    const int n = t + 1 - ((d | 1) < pow5[t] << t);
+    char *p = o + n;
+    for (; d >= 100; d /= 100)
+        memcpy(p -= 2, pairs + d % 100 * 2, 2);
+    if (d >= 10)
+        memcpy(p - 2, pairs + d * 2, 2);
+    else
+        p[-1] = (char)('0' + d);
     return n;
 }
 
@@ -199,20 +220,25 @@ static char *put_repr(char *o, double x, repr_fn repr, free_fn release)
     }
     if (signbit(x))
         *o++ = '-';
-    for (; d % 10 == 0; d /= 10)
-        e10++;
-    char g[20];
-    const int n = put_digits(g, d), decpt = n + e10;
+    char g[24];  /* the digits at g + 4, after the four '0's of 0.000ddd */
+    memset(g, '0', sizeof g);
+    const int n = put_digits(g + 4, d), decpt = n + e10;
     /* as repr: exponent form unless 1e-4 <= x < 1e16, and ".0" on integers */
-    const int sci = decpt <= -4 || decpt > 16, point = sci ? 1 : decpt;
-    if (point <= 0)
-        *o++ = '0';
-    for (int i = point < 0 ? point : 0; i < n || (!sci && i <= point); i++) {
-        if (i == point)
-            *o++ = '.';
-        *o++ = 0 <= i && i < n ? g[i] : '0';
+    if (decpt <= -4 || decpt > 16) {  /* d.ddde-XX or d.ddde+XX */
+        *o++ = g[4];
+        if (n > 1)
+            *o++ = '.', memcpy(o, g + 5, n - 1), o += n - 1;
+        const int e = decpt > 0 ? decpt - 1 : 1 - decpt;
+        *o++ = 'e', *o++ = decpt > 0 ? '+' : '-';
+        if (e < 10)
+            *o++ = '0';
+        return o + put_digits(o, (uint64_t)e);
     }
-    return sci ? o + sprintf(o, "e%+03d", decpt - 1) : o;
+    /* 0.000ddd, dd.ddd or ddd00.0: the run up to the point, then the rest */
+    const int z = decpt > 0 ? 0 : 1 - decpt, end = n > decpt ? n : decpt + 1;
+    memcpy(o, g + 4 - z, z + decpt), o += z + decpt, *o++ = '.';
+    memcpy(o, g + 4 + decpt, end - decpt);
+    return o + end - decpt;
 }
 
 /* rows x cols doubles as csv.writer writes their repr, a row led by its index

@@ -9,6 +9,7 @@ CSVs in C (see ``_kernel``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,6 +189,7 @@ def _cmd_highdim(args):
     return 0
 
 
+@functools.cache  # once per process: building costs about 20 parses
 def build_parser() -> _Parser:
     p = _Parser(prog="reluspline",
                 description="Representation cost, spline interpolation and "

@@ -333,6 +333,22 @@ def run_python(code, cwd):
     return proc.stdout
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process: the first call's --d must not
+    # reach the second, which writes what a fresh process writes, at d = 3
+    assert cli.build_parser() is cli.build_parser()
+    sweep = ["--r-sweep", "4", "--samples", "10", "--output"]
+    assert cli.main(["highdim", "--claim", "laplacian", "--d", "2", *sweep,
+                     str(tmp_path / "flux.csv")]) == 0
+    args = ["highdim", "--claim", "bump-decay", *sweep]
+    assert cli.main([*args, str(tmp_path / "warm.csv")]) == 0
+    assert cli.build_parser().parse_args(args + ["x.csv"]).d == 3
+    run_python(f"from reluspline import cli; "
+               f"assert cli.main({[*args, 'fresh.csv']!r}) == 0", tmp_path)
+    assert ((tmp_path / "warm.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
+
+
 def test_no_call_loads_scipy(tmp_path):
     # scipy is a test dependency only: the fits of both losses, the bump,
     # both estimators and every CLI command leave all of it unloaded

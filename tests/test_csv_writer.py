@@ -6,6 +6,7 @@ the C code itself; all others (zeros, subnormals, nan, infinities, tiny and
 huge values) by the interpreter's own repr routine, which ``format_table``
 calls with the GIL held."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -75,6 +76,24 @@ class TestMatchesOracle:
         scales = 10.0 ** rng.integers(-8, 12, 20_000)
         x = rng.uniform(-1.0, 1.0, 20_000) * scales
         assert_matches_oracle(tmp_path, [np.round(x, d) for d in range(13)])
+
+    def test_every_digit_count_across_the_window(self, tmp_path):
+        # four values of each shortest digit count n from 1 to 17 at each
+        # decimal exponent e from -11 to 17, each with its two neighbours:
+        # inside the window and out, every layout repr uses (0.000ddd,
+        # dd.ddd, ddd00.0 and both exponent signs)
+        def digits(v):
+            return len(repr(v).split("e")[0].replace(".", "").strip("0"))
+
+        rng = np.random.default_rng(2204)
+        values = []
+        for n, e in itertools.product(range(1, 18), range(-11, 18)):
+            drawn = rng.integers(10 ** (n - 1), 10 ** n, 64).tolist()
+            kept = [v for v in (float(f"{d}e{e - n + 1}") for d in drawn)
+                    if digits(v) == n][:4]
+            assert len(kept) == 4, (n, e)
+            values += kept
+        assert_matches_oracle(tmp_path, with_neighbours(values), numbered=True)
 
     def test_binary_fractions(self, tmp_path):
         # 1 + i 2^-20 have at most 21 digits, so shortening them meets ties
