@@ -3,13 +3,22 @@
    theta = [b1 | w1 | w2 | b2] (k units) is updated in place.  Step t writes
    trace row t, (loss + lam * cost, loss, cost) at its iterate, and grad, laid
    out as theta, the objective's gradient with ReLU'(0) = 0.  Points run in
-   blocks of B: residuals with units outer, B chains each adding units 0..k-1
-   in order, then the gradient a point at a time over contiguous units.  No sum
-   changes order, so the AVX2 clone that the loader picks on x86-64 glibc
-   rounds as the scalar loop does.  Returns 2 at the first non-finite
-   objective, before any stop test; 1 once stop > 0 and |grad| <= stop, leaving
-   theta at that iterate; else 0 after max_steps steps.  *done is the number of
-   trace rows written. */
+   blocks of B, copied into lane arrays, x and then the residual from b2 - y,
+   padded with zeros to a whole number of 4-double vectors (v4); pad lanes
+   are computed and never read.  The residual pass runs units outer and
+   vectors of 4 points inner, so each lane adds units 0..k-1 in order.  The
+   gradient pass runs vectors of 4 units outer, their gb1, gw1 and gw2 sums
+   held in three vectors while the block's points run inner in order; the
+   k mod 4 units left run the same loop one at a time.  Across lanes nothing
+   is summed: the loss, grad[3k] and the cost run one element at a time in
+   index order, the cost in the first block's two unit loops (w1^2 in the
+   residual pass, w2^2 in the gradient pass), where it runs behind the
+   vector work; n = 0 runs one empty block for it.  No sum changes order, so
+   the plain body (a v4 op is two SSE2 ops on x86-64, narrower or scalar ops
+   elsewhere) and the AVX2 clone that the loader picks on x86-64 glibc round
+   as the scalar loops do.  Returns 2 at the first non-finite objective,
+   before any stop test; 1 once stop > 0 and |grad| <= stop, leaving theta at
+   that iterate; else 0 after max_steps steps.  *done counts rows written. */
 
 #include <math.h>
 #include <stdint.h>
@@ -21,45 +30,74 @@
 #else
 #define DISPATCH
 #endif
-enum { B = 32 };  /* data points per block */
+enum { B = 32 };  /* data points per block, a whole number of vectors */
+
+typedef double v4 __attribute__((vector_size(32)));
+typedef int64_t v4i __attribute__((vector_size(32)));
+/* macros, not functions: a vector argument changes the ABI without AVX.
+   memcpy loads and stores at any alignment; LIVE(a, v) is a > 0 ? v : 0. */
+#define LOAD(v, p) memcpy(&(v), (p), sizeof(v4))
+#define STORE(p, v) memcpy((p), &(v), sizeof(v4))
+#define LIVE(a, v) ((v4)((v4i)((a) > 0.0) & (v4i)(v)))
 
 DISPATCH
 int descend(int64_t k, int64_t n, const double *xs, const double *ys,
             double lam, double lr, int64_t max_steps, double stop,
             double *theta, double *grad, double *trace, int64_t *done)
 {
-    const int64_t size = 3 * k + 1;
+    const int64_t size = 3 * k + 1, k4 = k - k % 4;
     const double *b1 = theta, *w1 = theta + k, *w2 = theta + 2 * k;
-    double *gb1 = grad, *gw1 = grad + k, *gw2 = grad + 2 * k, res[B];
+    double *gb1 = grad, *gw1 = grad + k, *gw2 = grad + 2 * k, xl[B], rl[B];
     for (int64_t t = 0; t < max_steps; t++) {
         const double b2 = theta[3 * k];
         double loss = 0.0, cost = 0.0, *row = trace + 3 * t;
         memset(grad, 0, size * sizeof *grad);
-        for (int64_t j0 = 0; j0 < n; j0 += B) {
-            const int64_t m = n - j0 < B ? n - j0 : B;
-            const double *x = xs + j0;
-            for (int64_t j = 0; j < m; j++)
-                res[j] = b2 - ys[j0 + j];
-            for (int64_t i = 0; i < k; i++)
-                for (int64_t j = 0; j < m; j++) {
-                    const double a = w1[i] * x[j] + b1[i];
-                    res[j] += w2[i] * (a > 0.0 ? a : 0.0);
+        for (int64_t j0 = 0; j0 == 0 || j0 < n; j0 += B) {
+            const int64_t m = n - j0 < B ? n - j0 : B, mv = (m + 3) / 4 * 4;
+            for (int64_t j = 0; j < mv; j++) {
+                xl[j] = j < m ? xs[j0 + j] : 0.0;
+                rl[j] = j < m ? b2 - ys[j0 + j] : 0.0;
+            }
+            for (int64_t i = 0; i < k; i++) {
+                for (int64_t j = 0; j < mv; j += 4) {
+                    v4 x, r, a;
+                    LOAD(x, xl + j), LOAD(r, rl + j);
+                    a = w1[i] * x + b1[i];
+                    r += w2[i] * LIVE(a, a);
+                    STORE(rl + j, r);
                 }
+                if (j0 == 0)
+                    cost += w1[i] * w1[i];
+            }
             for (int64_t j = 0; j < m; j++) {
-                const double xj = x[j], r = res[j], r2 = 2.0 * r;
-                for (int64_t i = 0; i < k; i++) {
-                    const double a = w1[i] * xj + b1[i];
-                    const double live_r2 = a > 0.0 ? r2 : 0.0;
+                loss += rl[j] * rl[j];
+                grad[3 * k] += rl[j] *= 2.0;
+            }
+            for (int64_t i = 0; i < k4; i += 4) {
+                v4 c, d, g0, g1, g2;
+                LOAD(c, w1 + i), LOAD(d, b1 + i);
+                LOAD(g0, gb1 + i), LOAD(g1, gw1 + i), LOAD(g2, gw2 + i);
+                for (int64_t j = 0; j < m; j++) {
+                    const v4 r2 = {rl[j], rl[j], rl[j], rl[j]};
+                    const v4 a = c * xl[j] + d, live = LIVE(a, r2);
+                    g0 += live, g1 += live * xl[j], g2 += live * a;
+                }
+                STORE(gb1 + i, g0), STORE(gw1 + i, g1), STORE(gw2 + i, g2);
+                for (int64_t u = i; j0 == 0 && u < i + 4; u++)
+                    cost += w2[u] * w2[u];
+            }
+            for (int64_t i = k4; i < k; i++) {
+                for (int64_t j = 0; j < m; j++) {
+                    const double a = w1[i] * xl[j] + b1[i];
+                    const double live_r2 = a > 0.0 ? rl[j] : 0.0;
                     gb1[i] += live_r2;
-                    gw1[i] += live_r2 * xj;
+                    gw1[i] += live_r2 * xl[j];
                     gw2[i] += live_r2 * a;
                 }
-                grad[3 * k] += r2;
-                loss += r * r;
+                if (j0 == 0)
+                    cost += w2[i] * w2[i];
             }
         }
-        for (int64_t i = k; i < 3 * k; i++)
-            cost += theta[i] * theta[i];
         row[1] = loss;
         row[2] = 0.5 * cost;
         row[0] = loss + lam * row[2];

@@ -76,13 +76,20 @@ def load() -> ctypes.CDLL:
 
 
 def descend(theta, xs, ys, lam, lr, max_steps, stop):
-    """``descend`` on points (xs, ys) from theta = [b1 | w1 | w2 | b2], a float
-    vector updated in place: the status (0 max_steps, 1 stop reached, 2
-    diverged), the max_steps-row trace, the rows written and the gradient."""
+    """``descend`` on points (xs, ys) from theta = [b1 | w1 | w2 | b2], a
+    writable, contiguous float64 vector of 3k + 1 entries updated in place:
+    the status (0 max_steps, 1 stop reached, 2 diverged), the max_steps-row
+    trace, the rows written and the gradient."""
     xs = np.ascontiguousarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ValueError("xs and ys must be vectors of one length")
+    # the kernel reads and writes 3k + 1 doubles at theta's address
+    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+            and theta.ndim == 1 and theta.size % 3 == 1
+            and theta.flags.c_contiguous and theta.flags.writeable):
+        raise ValueError("theta must be a writable, contiguous float64 "
+                         "vector of 3k + 1 entries")
     trace, grad = np.empty((max_steps, 3)), np.empty(theta.size)
     done = np.zeros(1, np.int64)
     status = load().descend(

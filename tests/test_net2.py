@@ -359,6 +359,19 @@ class TestTrain:
             with pytest.raises(ValueError, match="vectors of one length"):
                 objective_and_grad(net, short, 0.1)
 
+    def test_theta_must_be_a_writable_float_vector(self):
+        # the kernel reads and writes 3k + 1 doubles at theta's address
+        read_only = np.zeros(7)
+        read_only.flags.writeable = False
+        for theta in (np.zeros(7, np.float32), np.zeros(14)[::2], np.zeros(6),
+                      np.zeros((1, 7)), read_only, [0.0] * 7):
+            with pytest.raises(ValueError, match="theta must be a writable"):
+                _kernel.descend(theta, [0.0, 1.0], [1.0, 2.0], 0.1, 0.1, 1,
+                                0.0)
+        theta = np.zeros(7)
+        assert _kernel.descend(theta, [0.0, 1.0], [1.0, 2.0], 0.1, 0.1, 1,
+                               0.0)[:3:2] == (0, 1)
+
     def test_integer_and_strided_points(self):
         # converted to contiguous floats, they train as the float Dataset
         d = Dataset(((0.0, 1.0), (1.0, 3.0), (2.0, 0.0), (3.0, 2.0)))
@@ -499,13 +512,15 @@ class TestTrainMatchesReference:
         assert peak - 8 * 3 * steps <= 40_000
 
 
-def raw_descend(lib, theta, k, xs, ys, lam, lr, max_steps, stop=0.0):
-    """One ``descend`` call of a kernel library, returned as
-    ``scalar_descend`` returns it: status, trace rows, theta and gradient."""
+def raw_descend(lib, theta, k, xs, ys, lam, lr, max_steps, stop=0.0, n=None):
+    """One ``descend`` call of a kernel library on the first n points (all by
+    default), returned as ``scalar_descend`` returns it: status, trace rows,
+    theta and gradient."""
     theta, xs, ys = (np.array(a, dtype=float) for a in (theta, xs, ys))
     grad, trace = np.empty(theta.size), np.empty((max_steps, 3))
     done = np.zeros(1, np.int64)
-    status = lib.descend(k, len(xs), xs.ctypes.data, ys.ctypes.data, lam, lr,
+    n = len(xs) if n is None else n
+    status = lib.descend(k, n, xs.ctypes.data, ys.ctypes.data, lam, lr,
                          max_steps, stop, *(a.ctypes.data for a in (
                              theta, grad, trace, done)))
     return status, trace[:done[0]], theta, grad
@@ -534,10 +549,11 @@ with open(KERNEL_SOURCE) as fh:
 class TestKernelMatchesScalarOrder:
     """The C kernel against its scalar loops in Python floats, bit for bit.
 
-    The kernel sums the residuals of a block of points side by side, in
-    vector lanes where the CPU has them; each still adds its units in order
-    0..k-1, so every bit matches.  Data sizes sit at the ends of blocks and
-    lanes.
+    The kernel sums the residuals of 4 points, and the gradient entries of 4
+    units, side by side in vector lanes; each lane still adds its units, or
+    its points, in index order, so every bit matches.  Data sizes sit at the
+    ends of blocks and of point vectors (n = 0 runs no point), widths at the
+    ends of unit vectors, and n = 10, k = 100 is the benchmark's shape.
     """
 
     def run_both(self, n, k, lr, stop=0.0, steps=100):
@@ -549,12 +565,24 @@ class TestKernelMatchesScalarOrder:
         assert bits(c) == bits(scalar_descend(theta, *args))
         return c
 
-    @pytest.mark.parametrize("k", [0, 1, 3, 20, 37])
-    @pytest.mark.parametrize("n", [1, 3, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   2 * BLOCK + 5])
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 20, 37, 100])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10, BLOCK - 1, BLOCK,
+                                   BLOCK + 1, 2 * BLOCK + 5])
     def test_trace_theta_and_gradient(self, n, k):
         status, trace, _, _ = self.run_both(n, k, 0.1 / max(n, 10))
         assert (status, len(trace)) == (0, 100)
+
+    @pytest.mark.parametrize("n", [10, BLOCK + 1])
+    def test_reads_no_point_past_n(self, n):
+        # the lanes past the n-th point are padded with zeros, and nothing
+        # read from them reaches the output: a NaN tail changes no bit
+        rng = np.random.default_rng(n)
+        xs, ys = rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)
+        theta = rng.uniform(-0.5, 0.5, 3 * 20 + 1)
+        lib, tail, rest = _kernel.load(), np.full(7, np.nan), (1e-3, 1e-2, 50)
+        padded = raw_descend(lib, theta, 20, np.append(xs, tail),
+                             np.append(ys, tail), *rest, n=n)
+        assert bits(padded) == bits(raw_descend(lib, theta, 20, xs, ys, *rest))
 
     def test_grad_norm_stop(self):
         status, trace, _, _ = self.run_both(BLOCK + 1, 20, 3e-3, stop=2.0)
