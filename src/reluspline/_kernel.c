@@ -169,6 +169,110 @@ void flux_values(int64_t n, int64_t d, int64_t k,
 
 typedef unsigned __int128 u128;
 
+/* numpy's bit generator interface and its random_standard_normal, passed in */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+typedef double (*normal_fn)(bitgen_t *);
+
+/* The next word of Philox4x64-10 as numpy's Philox runs it.  s holds its
+   state: the counter (4 words), the key (2), a buffer of 4 outputs and the
+   index of the next one to hand out.  An empty buffer is refilled from the
+   counter, incremented with carry first. */
+static inline uint64_t philox(uint64_t *s)
+{
+    if (s[10] < 4)
+        return s[6 + s[10]++];
+    for (int i = 0; i < 4 && !++s[i]; i++)
+        ;
+    uint64_t c0 = s[0], c1 = s[1], c2 = s[2], c3 = s[3], k0 = s[4], k1 = s[5];
+    for (int round = 0; round < 10; round++) {
+        const u128 p = (u128)0xD2E7470EE14C6C93ULL * c0,
+                   q = (u128)0xCA5A826395121157ULL * c2;
+        c0 = (uint64_t)(q >> 64) ^ c1 ^ k0, c1 = (uint64_t)q;
+        c2 = (uint64_t)(p >> 64) ^ c3 ^ k1, c3 = (uint64_t)p;
+        k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL;
+    }
+    s[6] = c0, s[7] = c1, s[8] = c2, s[9] = c3, s[10] = 1;
+    return c0;
+}
+
+static uint64_t philox_u64(void *s) { return philox(s); }
+static double philox_double(void *s) { return (philox(s) >> 11) * 0x1p-53; }
+
+/* the table probe's generator: r once, then 0 (idx 0, rabs 0, accepted by
+   any table); next_double counts its calls and returns 0.5, on which the
+   wedge and tail tests end */
+typedef struct { uint64_t r; int64_t calls; } probe_t;
+static uint64_t probe_u64(void *p)
+{
+    const uint64_t r = ((probe_t *)p)->r;
+    ((probe_t *)p)->r = 0;
+    return r;
+}
+static double probe_double(void *p) { ((probe_t *)p)->calls++; return 0.5; }
+
+/* whether normal, fed r, leaves the ziggurat's fast path; *x is its value */
+static int rejects(normal_fn normal, uint64_t r, double *x)
+{
+    probe_t p = {r, 0};
+    *x = normal(&(bitgen_t){&p, probe_u64, NULL, probe_double, NULL});
+    return p.calls > 0;
+}
+
+/* flux_draws: flux_values on n x d standard normals that it draws first,
+   bit for bit as numpy's Generator(Philox).standard_normal would from the
+   state s (see philox), which it advances.
+
+   numpy's ziggurat takes idx = r & 0xff, rabs = r >> 9 & (2^52 - 1), x =
+   rabs wi[idx], negated if bit 8 is set, and returns x if rabs < ki[idx].
+   That fast path runs here, the sign by an XOR on x's sign bit, which gives
+   the bits of -x.  Otherwise r goes back into the buffer and numpy's own
+   routine, handed the stream, draws r again and runs its slow path.  The
+   tables, wi (doubles) and then ki, are read off that routine when ki[0]
+   is 0: wi[idx] is the x it returns for rabs = 1, ki[idx] the least rabs
+   it rejects, by bisection. */
+void flux_draws(int64_t n, int64_t d, int64_t k, uint64_t *restrict s,
+                void *tables, normal_fn normal, double *restrict g,
+                const double *w, const double *t, const double *sm,
+                double *work, double *vals)
+{
+    double *wi = tables;
+    uint64_t *ki = (uint64_t *)(wi + 256);
+    for (uint64_t idx = ki[0] ? 256 : 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = 1ULL << 52;
+        double x;
+        rejects(normal, 1 << 9 | idx, &wi[idx]);
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            if (rejects(normal, mid << 9 | idx, &x))
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        ki[idx] = lo;
+    }
+    for (int64_t i = 0; i < n * d; i++) {
+        const uint64_t r = philox(s), idx = r & 0xff,
+                       rabs = r >> 9 & ((1ULL << 52) - 1);
+        const double x = (double)rabs * wi[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (r & 0x100) << 55;
+        memcpy(&g[i], &bits, sizeof bits);
+        if (rabs >= ki[idx]) {
+            s[10]--;
+            g[i] = normal(&(bitgen_t){s, philox_u64, NULL, philox_double,
+                                      NULL});
+        }
+    }
+    flux_values(n, d, k, g, w, t, sm, work, vals);
+}
+
 /* 5^k for k = 0..27; 10^k = 5^k << k */
 #define P4(a) (a), 5 * (a), 25 * (a), 125 * (a)
 static const uint64_t pow5[28] = {

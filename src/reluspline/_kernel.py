@@ -1,7 +1,9 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
-of ``descend`` (training), ``flux_values`` (the flux estimator's per-sample
-pass) and ``format_table`` (the CSV writer, run with the GIL held), which pass
-arrays as addresses."""
+of ``descend`` (training), ``flux_draws`` (the flux estimator's normal draws,
+numpy's Philox stream and ziggurat, and its per-sample pass, ``flux_values``)
+and ``format_table`` (the CSV writer, run with the GIL held), which pass
+arrays as addresses and numpy's and the interpreter's routines as function
+pointers."""
 
 import contextlib
 import ctypes
@@ -14,6 +16,8 @@ import numpy as np
 # no -ffast-math and no fused multiply-add: rounding stays as written;
 # without errno, sqrt is one instruction, which vectorises
 CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
+# a build removes the cache's libraries older than this, in seconds
+STALE_S = 30 * 24 * 3600
 
 
 def _usable(cache: str) -> bool:
@@ -30,7 +34,8 @@ def load() -> ctypes.CDLL:
     """``_kernel.c``'s library, built on first use into $XDG_CACHE_HOME/reluspline
     or else a private directory in the temp directory.  Named by a hash of the
     source and the command, it is built aside and renamed into place, so
-    racing processes load whole ones."""
+    racing processes load whole ones.  A build also deletes the libraries
+    in the cache last modified over ``STALE_S`` ago."""
     import hashlib
     import sysconfig
 
@@ -48,7 +53,9 @@ def load() -> ctypes.CDLL:
         key = hashlib.sha256(fh.read() + " ".join(cmd).encode()).hexdigest()
     path = os.path.join(cache, f"_kernel-{key[:16]}.so")
     if not os.path.exists(path):
+        import glob
         import subprocess  # only to build: it is slow to import
+        import time
 
         with tempfile.TemporaryDirectory(dir=cache) as tmp:
             try:
@@ -62,6 +69,14 @@ def load() -> ctypes.CDLL:
                     f"{' '.join(cmd)} failed to build the kernel in {cache}: "
                     f"{getattr(exc, 'stderr', None) or exc}") from None
             os.replace(f"{tmp}/lib.so", path)
+        # other revisions' libraries, built long ago: any still in use is
+        # rebuilt on demand
+        cutoff = time.time() - STALE_S
+        for name in glob.glob("_kernel-*.so", root_dir=cache):
+            old = os.path.join(cache, name)
+            with contextlib.suppress(OSError):
+                if os.stat(old).st_mtime < cutoff:
+                    os.remove(old)
     lib = ctypes.CDLL(path)
     # format_table calls repr, which needs the GIL; ctypes raises its errors
     lib.format_table = ctypes.PyDLL(path).format_table
@@ -70,9 +85,24 @@ def load() -> ctypes.CDLL:
     lib.descend.restype = ctypes.c_int
     lib.flux_values.argtypes = [i64] * 3 + [ptr] * 6
     lib.flux_values.restype = None
+    lib.flux_draws.argtypes = [i64] * 3 + [ptr] * 9
+    lib.flux_draws.restype = None
     lib.format_table.argtypes = [i64, i64, ptr, ctypes.c_int] + [ptr] * 3
     lib.format_table.restype = i64
     return lib
+
+
+@functools.cache
+def ziggurat():
+    """numpy's ziggurat tables, wi then ki, as ``flux_draws`` reads them off
+    numpy's ``random_standard_normal`` (found as numpy's cffi example finds
+    it), and that routine."""
+    from numpy.random import _generator
+
+    normal = ctypes.CDLL(_generator.__file__).random_standard_normal
+    tables = np.zeros(512, np.uint64)
+    load().flux_draws(0, 0, 0, None, tables.ctypes.data, normal, *[None] * 6)
+    return tables, normal
 
 
 def descend(theta, xs, ys, lam, lr, max_steps, stop):

@@ -140,7 +140,8 @@ def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
     """Factor each chain into unit-norm matrices times one coefficient.
 
     Homogeneity of the ReLU chain keeps the function unchanged; a subnet
-    containing a zero matrix computes zero and gets alpha = 0.
+    containing a zero matrix computes zero and gets alpha = 0.  Raises
+    ValueError if an alpha overflows.
     """
     norms = np.array([_norms(w) for w in net.layers])
     dead = np.any(norms == 0.0, axis=0)
@@ -153,8 +154,11 @@ def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
     # top * prod(norms) with the exponents of the norms summed apart, so
     # that a product of huge norms cannot overflow before top scales it
     frac, exp = np.frexp(norms)
-    alpha = np.where(dead, 0.0, np.ldexp(net.top * np.prod(frac, axis=0),
-                                         exp.sum(axis=0)))
+    with np.errstate(over="ignore"):
+        alpha = np.where(dead, 0.0, np.ldexp(net.top * np.prod(frac, axis=0),
+                                             exp.sum(axis=0)))
+    if not np.isfinite(alpha).all():
+        raise ValueError("sphere coefficient alpha overflows")
     return SphereFactoredNet(tuple(zip(*units)), alpha)
 
 

@@ -1,12 +1,13 @@
 """d-dimensional infinite-network functions from discrete measures.
 
 Contains the atom-measure evaluator and gradient, a Monte-Carlo estimator
-of the normalized Laplacian surface flux (its per-sample pass is C, in
-``_kernel``, so it needs a C compiler), the radial "bump" induced by the
-uniform second-difference measure on the sphere (elementary for every
-integer d, by a recurrence on the integral of (1-t^2)^m), and a Monte-Carlo
-estimator, on the radial identity |H|_F = sqrt(h''^2 + (d-1) (h'/rho)^2),
-showing its normalized Hessian mass vanishes.
+of the normalized Laplacian surface flux (its draws, numpy's Philox normals
+bit for bit, and its per-sample pass are C, in ``_kernel``, so it needs a C
+compiler), the radial "bump" induced by the uniform second-difference
+measure on the sphere (elementary for every integer d, by a recurrence on
+the integral of (1-t^2)^m), and a Monte-Carlo estimator, on the radial
+identity |H|_F = sqrt(h''^2 + (d-1) (h'/rho)^2), showing its normalized
+Hessian mass vanishes.
 """
 
 from __future__ import annotations
@@ -115,7 +116,11 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
     function f of ``source``, u uniform on the unit sphere: the mean of
     (A_d / V_{d-1}) sum_k m_k 1[<u,w_k> > -b_k/r] <u,w_k>.  It estimates
     sum_k m_k (1 - t_k^2)^((d-1)/2), t_k = clip(-b_k/r, -1, 1), which for a
-    nonnegative measure tends to its total mass as r grows."""
+    nonnegative measure tends to its total mass as r grows.
+
+    The directions are the normals of Generator(Philox(seed)).standard_normal,
+    n_samples rows of d, normalized; the kernel draws them, a batch at a
+    time, and numpy sums each batch's values."""
     if not 0 < r < np.inf:
         raise ValueError("radius must be positive and finite")
     check_integer(n_samples, "sample count", 2)
@@ -125,16 +130,20 @@ def laplacian_flux_estimate(source: AtomMeasureDD, r: float, n_samples: int,
         scale = sphere_area(d) / ball_volume(d - 1)
     w = np.ascontiguousarray(source.directions())
     t, sm = -source.biases() / r, scale * source.masses()
-    rng = np.random.Generator(np.random.Philox(seed))
+    # Philox(seed) as flux_draws runs it: counter, key, buffer, buffer_pos
+    st = np.random.Philox(seed).state
+    state = np.array([*st["state"]["counter"], *st["state"]["key"],
+                      *st["buffer"], st["buffer_pos"]], np.uint64)
+    tables, normal = _kernel.ziggurat()
     size = min(_FLUX_BATCH, n_samples)
     g, work, vals = np.empty((size, d)), np.empty((d + 1) * size), np.empty(size)
-    flux_values = _kernel.load().flux_values
-    args = [a.ctypes.data for a in (g, w, t, sm, work, vals)]
+    flux_draws = _kernel.load().flux_draws
+    args = [state.ctypes.data, tables.ctypes.data, normal,
+            *(a.ctypes.data for a in (g, w, t, sm, work, vals))]
     total = total_sq = 0.0
     for done in range(0, n_samples, size):
         batch = min(size, n_samples - done)
-        rng.standard_normal(out=g[:batch])
-        flux_values(batch, d, k, *args)
+        flux_draws(batch, d, k, *args)
         v = vals[:batch]
         total += float(v.sum())
         total_sq += float(v @ v)

@@ -41,7 +41,9 @@ class Dataset(Value):
         """Sort the pairs by (x, y) and merge repeated x.
 
         The first sorted pair at an x is kept; any other pair there must
-        agree with its y to 1e-12 (1 + max |y|).
+        agree with its y to 1e-12 (1 + max |y|).  The gaps between
+        consecutive x and the secants between consecutive points must be
+        finite.
         """
         points = tuple(points)
         if not points:
@@ -55,15 +57,23 @@ class Dataset(Value):
         # the pairs viewed as x + iy sorts by (x, y) as sorted() does
         order = np.argsort(flat.view(complex), kind="stable")
         xs, ys = flat[0::2][order], flat[1::2][order]
-        repeat = xs[1:] == xs[:-1]
-        if repeat.any():
-            first = np.concatenate(([True], ~repeat))
-            kept = ys[first][np.cumsum(first) - 1]
-            bad = np.abs(ys - kept) > 1e-12 * (1.0 + np.abs(ys).max())
-            if bad.any():
-                raise ValueError(
-                    f"conflicting y values at x = {float(xs[bad.argmax()])}")
-            xs, ys = xs[first], ys[first]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = xs[1:] - xs[:-1]
+            if (dx == 0.0).any():
+                first = np.concatenate(([True], dx != 0.0))
+                kept = ys[first][np.cumsum(first) - 1]
+                bad = np.abs(ys - kept) > 1e-12 * (1.0 + np.abs(ys).max())
+                if bad.any():
+                    raise ValueError(f"conflicting y values at x = "
+                                     f"{float(xs[bad.argmax()])}")
+                xs, ys = xs[first], ys[first]
+                dx = xs[1:] - xs[:-1]
+            ok = np.isfinite(dx) & np.isfinite((ys[1:] - ys[:-1]) / dx)
+        if not ok.all():
+            i = int(ok.argmin())
+            raise ValueError(
+                f"dataset x difference or secant overflows between "
+                f"x = {float(xs[i])} and x = {float(xs[i + 1])}")
         xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)

@@ -5,7 +5,8 @@ with the gradient written out, in numpy calls that sum in another order
 than the kernel.  ``scalar_descend`` transcribes the kernel's training
 loops in Python floats, which sum in the kernel's exact order, and
 ``ordered_flux`` does the same for the flux estimator's per-sample pass in
-elementwise numpy, without BLAS.
+elementwise numpy, without BLAS.  ``philox_words`` lays a numpy Philox's
+state out as the kernel's ``flux_draws`` reads it.
 """
 
 import math
@@ -126,3 +127,11 @@ def ordered_flux(source, r, n_samples, seed):
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return mean, math.sqrt(var / n_samples)
+
+
+def philox_words(philox):
+    """A numpy Philox's state as ``flux_draws`` reads and advances it: the
+    counter, key, buffer and buffer position in 11 uint64 words."""
+    st = philox.state
+    return np.array([*st["state"]["counter"], *st["state"]["key"],
+                     *st["buffer"], st["buffer_pos"]], np.uint64)

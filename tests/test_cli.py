@@ -82,6 +82,17 @@ class TestInterpCommand:
         assert ("invalid dataset file: dataset needs at least one point"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("points", [[[-1e308, 1], [1e308, 0]],
+                                        [[0, -1e308], [1e-300, 1e308]]])
+    def test_overflowing_difference_is_rejected(self, tmp_path, capsys,
+                                                points):
+        path = write(tmp_path / "data.json", {"points": points})
+        assert cli.main(["interp", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("invalid dataset file: dataset x difference or secant "
+                "overflows" in captured.err)
+
     def test_grid_oracle_disagrees(self, tent_dataset, tmp_path, capsys,
                                    monkeypatch):
         monkeypatch.setattr(spline, "grid_oracle_end_slopes",
@@ -207,6 +218,17 @@ class TestDepthCommand:
     def test_negative_seed(self, capsys):
         assert cli.main(["depth", "--random", "2", "1", "1", "-1"]) == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_overflowing_alpha_is_blamed(self, tmp_path, capsys):
+        # finite layers whose alpha, top * 1e300 * 1e300 * sqrt(2), overflows:
+        # alpha is named, not the input, and no RuntimeWarning is printed
+        path = write(tmp_path / "net.json",
+                     {"subnets": [[[[1e300, 1e300]], [[1e300]]]],
+                      "top": [1e300]})
+        assert cli.main(["depth", path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sphere coefficient alpha overflows\n"
 
     def test_overflowing_cost_is_rejected(self, tmp_path, capsys):
         # cost_CL is about 1e400: inf as a float, and no JSON number

@@ -274,6 +274,15 @@ class TestAlignment:
         alpha = align_to_sphere(net).alpha[0]
         assert alpha == pytest.approx(np.sqrt(2.0) * want, rel=1e-15, abs=0)
 
+    def test_overflowing_alpha_is_named(self):
+        # the layers and top are finite, alpha = sqrt(2) 1e900 is not; the
+        # suite turns the RuntimeWarning ldexp would give into a failure
+        net = ParallelDeepNet.from_dict(
+            {"subnets": [[[[1e300, 1e300]], [[1e300]]]], "top": [1e300]})
+        with pytest.raises(ValueError,
+                           match="^sphere coefficient alpha overflows$"):
+            align_to_sphere(net)
+
     def test_zero_subnet_gets_zero_alpha(self):
         net = ParallelDeepNet(((np.zeros((1, 2)),),), [3.0])
         assert align_to_sphere(net).alpha[0] == 0.0

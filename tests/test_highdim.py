@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta, betainc
 
-from numpy_descent import ordered_flux
+from numpy_descent import ordered_flux, philox_words
+from reluspline import _kernel
 from reluspline.highdim import (_FLUX_BATCH, AtomMeasureDD, _bump_radial,
                                 ball_volume, bump_eval, eval_dd, grad_dd,
                                 hessian_decay_estimate,
@@ -274,6 +275,93 @@ class TestFluxEstimate:
         rms = math.sqrt(total_sq / n)
         assert abs(est.value - mean) <= 1e-13 * rms
         assert abs(est.std_error - se) <= 1e-13 * rms / math.sqrt(n)
+
+
+# numpy's ziggurat_nor_r: only the idx = 0 tail returns draws beyond it
+ZIGGURAT_R = 3.6541528853610088
+
+
+def c_normals(philox, n, batch=4093):
+    """n normals drawn by the kernel's ``flux_draws`` (d = 1, no atoms) from
+    the state of a numpy Philox, ``batch`` a call, and the state after."""
+    lib, (tables, normal) = _kernel.load(), _kernel.ziggurat()
+    state = philox_words(philox)
+    g, work, vals = np.empty(n), np.empty(2 * batch), np.empty(batch)
+    for done in range(0, n, batch):
+        lib.flux_draws(min(batch, n - done), 1, 0, state.ctypes.data,
+                       tables.ctypes.data, normal, g[done:].ctypes.data,
+                       None, None, None, work.ctypes.data, vals.ctypes.data)
+    return g, state
+
+
+def numpy_normals(philox, n):
+    """numpy's own draws from the same state, and its state after."""
+    g = np.random.Generator(philox).standard_normal(n)
+    return g, philox_words(philox)
+
+
+class TestFluxDraws:
+    def test_stream_matches_numpy_bit_for_bit(self):
+        # 10^7 draws over 10 seeds, in calls of 4093 that leave the Philox
+        # buffer at every position.  The first word that the fast path
+        # rejects starts a draw (every word before it is one draw), so its
+        # idx tells which slow path ran there: the wedge for idx > 0.
+        # Draws beyond ZIGGURAT_R come from the tail.
+        tables, _ = _kernel.ziggurat()
+        wedge = tail = False
+        for seed in range(10):
+            got, got_state = c_normals(np.random.Philox(seed), 10**6)
+            want, want_state = numpy_normals(np.random.Philox(seed), 10**6)
+            assert got.tobytes() == want.tobytes()
+            assert got_state.tolist() == want_state.tolist()
+            words = np.random.Philox(seed).random_raw(4096)
+            idx = (words & 0xFF).astype(np.intp)
+            fast = (words >> 9 & (2**52 - 1)) < tables[256 + idx]
+            wedge |= bool(idx[fast.argmin()] > 0)
+            tail |= bool(np.abs(want).max() > ZIGGURAT_R)
+        assert wedge and tail
+
+    @pytest.mark.parametrize("pos", [0, 1, 2, 3])
+    @pytest.mark.parametrize("idx", [0, 1, 7, 255])
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_each_path_matches_numpy(self, pos, idx, sign):
+        # a word whose rabs, 2^52 - 1, every table rejects, at each buffer
+        # position: idx 0 takes the tail, any other the wedge.  numpy's
+        # routine must be handed that word again, and then the stream.
+        tables, _ = _kernel.ziggurat()
+        assert tables[256 + idx] < 2**52 - 1
+        word = (2**52 - 1) << 9 | sign << 8 | idx
+        philox = np.random.Philox(12)
+        philox.random_raw(4)
+        state = philox.state
+        state["buffer"][pos] = word
+        state["buffer_pos"] = pos
+        philox.state = state
+        got, got_state = c_normals(philox, 9)
+        philox.state = state
+        want, want_state = numpy_normals(philox, 9)
+        assert got.tobytes() == want.tobytes()
+        assert got_state.tolist() == want_state.tolist()
+        assert (abs(want[0]) > ZIGGURAT_R) == (idx == 0)
+
+    def test_tables_give_numpy_fast_path(self):
+        # read once per process; a draw that the tables accept is
+        # rabs wi[idx], negated if bit 8 is set
+        tables, normal = _kernel.ziggurat()
+        assert _kernel.ziggurat()[0] is tables
+        wi, ki = tables[:256].view(float), tables[256:]
+        assert (wi > 0).all() and (ki < 2**52).all() and ki[0] > 0
+        philox = np.random.Philox(5)
+        words = philox.random_raw(4)
+        state = philox.state
+        state["buffer_pos"] = 0
+        philox.state = state
+        draws = np.random.Generator(philox).standard_normal(4)
+        idx = (words & 0xFF).astype(np.intp)
+        rabs = words >> 9 & (2**52 - 1)
+        assert (rabs < ki[idx]).all()
+        fast = np.where(words & 0x100, -1.0, 1.0) * (rabs * wi[idx])
+        assert fast.tobytes() == draws.tobytes()
 
 
 class TestBump:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from reluspline.net2 import (DivergenceError, TrainConfig, TwoLayerNet,
                              to_pwl, train)
 from reluspline.spline import Dataset
 
-from numpy_descent import reference_descent, scalar_descend
+from numpy_descent import philox_words, reference_descent, scalar_descend
 
 
 def random_net(rng, k=None):
@@ -535,6 +536,19 @@ def raw_flux(lib, g, w, t, sm):
     return vals
 
 
+def raw_flux_draws(lib, n, d, w, t, sm, seed):
+    """One ``flux_draws`` call of a kernel library from Philox(seed), its
+    tables probed anew: the bytes of the tables, the draws, the values and
+    the state after."""
+    tables = np.zeros(512, np.uint64)
+    state = philox_words(np.random.Philox(seed))
+    g, work, vals = np.empty((n, d)), np.empty((d + 1) * n), np.empty(n)
+    lib.flux_draws(n, d, len(w), state.ctypes.data, tables.ctypes.data,
+                   _kernel.ziggurat()[1], *(a.ctypes.data for a in (
+                       g, w, t, sm, work, vals)))
+    return tuple(a.tobytes() for a in (tables, g, vals, state))
+
+
 def bits(run):
     """A run's status and the bytes of its arrays, for exact comparison."""
     return (run[0],) + tuple(np.asarray(a, float).tobytes() for a in run[1:])
@@ -669,6 +683,7 @@ class TestKernelBuild:
         plain = ctypes.CDLL(str(tmp_path / "plain.so"))
         plain.descend.argtypes = loaded.descend.argtypes
         plain.flux_values.argtypes = loaded.flux_values.argtypes
+        plain.flux_draws.argtypes = loaded.flux_draws.argtypes
         rng = np.random.default_rng(8)
         for n, d, k in [(1, 2, 1), (255, 2, 5), (256, 3, 0), (257, 7, 33),
                         (4096, 5, 20)]:
@@ -676,6 +691,9 @@ class TestKernelBuild:
                       rng.uniform(-1.0, 1.0, k), rng.uniform(-2.0, 2.0, k))
             assert (raw_flux(plain, *inputs).tobytes()
                     == raw_flux(loaded, *inputs).tobytes())
+            draws = [raw_flux_draws(lib, n, d, *inputs[1:], seed=n + k)
+                     for lib in (plain, loaded)]
+            assert draws[0] == draws[1]
         d = figure_set()
         for k, seed, scale, lr, stop, status, steps in [
                 (20, 5, 0.5, 1e-2, 0.0, 0, 20_000),
@@ -688,6 +706,30 @@ class TestKernelBuild:
             run = raw_descend(loaded, *args)
             assert (run[0], len(run[1])) == (status, steps)
             assert bits(raw_descend(plain, *args)) == bits(run)
+
+    def test_build_removes_stale_libraries(self, fresh_kernel):
+        # another revision's library past the age limit goes; a fresh one,
+        # which may be another checkout's, stays, as does an aged file that
+        # is no kernel library
+        cache = fresh_kernel / "cache" / "reluspline"
+        cache.mkdir(parents=True, mode=0o700)
+        stale, fresh, other = (cache / "_kernel-0000000000000000.so",
+                               cache / "_kernel-1111111111111111.so",
+                               cache / "kernel.so")
+        aged = time.time() - _kernel.STALE_S - 60
+        for path in (stale, fresh, other):
+            path.write_bytes(b"")
+        for path in (stale, other):
+            os.utime(path, (aged, aged))
+        assert train_briefly().steps == 3
+        left = self.libraries(cache)
+        assert stale.name not in left and {fresh.name, other.name} < set(left)
+        assert len(left) == 3
+        # a load that builds nothing removes nothing
+        os.utime(fresh, (aged, aged))
+        _kernel.load.cache_clear()
+        _kernel.load()
+        assert fresh.exists()
 
     def test_no_usable_cache_directory_is_one_error(self, fresh_kernel,
                                                     monkeypatch):

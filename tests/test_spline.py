@@ -36,6 +36,28 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(((0.0, 0.0), point))
 
+    def test_rejects_overflowing_x_difference(self):
+        # 1e308 - (-1e308) is inf: the interpolant was a constant of cost 0
+        # whose value at 1e308 was nan
+        with pytest.raises(ValueError, match=(
+                r"x difference or secant overflows between x = -1e\+308 "
+                r"and x = 1e\+308")):
+            Dataset([(-1e308, 1), (1e308, 0)])
+
+    @pytest.mark.parametrize("points", [[(0, -1e308), (1e-300, 1e308)],
+                                        [(0, 1e300), (1e-300, -1e300)]])
+    def test_rejects_overflowing_secant(self, points):
+        # the y difference, or its ratio to the x difference, overflows:
+        # PwlFunction failed later on a non-finite breakpoint
+        with pytest.raises(ValueError, match=(
+                r"x difference or secant overflows between x = 0\.0 "
+                r"and x = 1e-300")):
+            Dataset(points)
+
+    def test_keeps_steep_finite_secants(self):
+        d = Dataset([(0.0, 0.0), (5e-324, 1e-300), (1.0, -1e300)])
+        assert np.isfinite(spline.interior_slopes(d)).all()
+
     def test_json_round_trip(self):
         d = Dataset(((0.0, 1.0), (2.0, -1.0)))
         assert Dataset.from_json(d.to_json()).points == d.points
