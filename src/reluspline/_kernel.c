@@ -127,10 +127,31 @@ int descend(int64_t k, int64_t n, const double *xs, const double *ys,
    atom a (row a of w, k x d) projects to p_a = sum_i u_i w_ai, and vals[j] is
    the sum over atoms, from 0, of (p_a > t_a ? p_a : 0) * sm_a.  Every sum runs
    in index order.  Samples run in chunks of F, transposed into work, which
-   holds (d + 1) * n doubles: u, then s and each atom's p in turn, so each loop
-   runs across samples, in vector lanes where the CPU has them, with no sum
-   reordered. */
+   holds (d + 1) * n doubles: u, then s, so the normalization runs across
+   samples.  The atoms then run once per vector of 4 samples, whose
+   projection and sum stay in vector lanes (a last, partial vector reads 0
+   in its spare lanes and writes only its samples), with no sum reordered. */
 enum { F = 256 };  /* flux samples per chunk */
+
+/* vals v at the L <= 4 samples from column j of u (d rows of m) */
+static inline __attribute__((always_inline)) void
+flux_vector(int64_t j, int64_t L, int64_t m, int64_t d, int64_t k,
+            const double *u, const double *w, const double *t,
+            const double *sm, double *v)
+{
+    v4 sum = {0}, p, ui = {0};
+    for (int64_t a = 0; a < k; a++) {
+        const double *wa = w + a * d;
+        memcpy(&ui, u + j, L * sizeof(double));
+        p = ui * wa[0];
+        for (int64_t i = 1; i < d; i++) {
+            memcpy(&ui, u + i * m + j, L * sizeof(double));
+            p += ui * wa[i];
+        }
+        sum += (v4)((v4i)(p > t[a]) & (v4i)p) * sm[a];
+    }
+    memcpy(v + j, &sum, L * sizeof(double));
+}
 
 DISPATCH
 void flux_values(int64_t n, int64_t d, int64_t k,
@@ -141,7 +162,7 @@ void flux_values(int64_t n, int64_t d, int64_t k,
     for (int64_t j0 = 0; j0 < n; j0 += F) {
         const int64_t m = n - j0 < F ? n - j0 : F;
         const double *x = g + j0 * d;
-        double *restrict u = work, *restrict p = work + d * m, *v = vals + j0;
+        double *restrict u = work, *restrict p = work + d * m;
         for (int64_t j = 0; j < m; j++)
             p[j] = x[j * d] * x[j * d];
         for (int64_t i = 1; i < d; i++)
@@ -152,18 +173,11 @@ void flux_values(int64_t n, int64_t d, int64_t k,
         for (int64_t i = 0; i < d; i++)
             for (int64_t j = 0; j < m; j++)
                 u[i * m + j] = x[j * d + i] / p[j];
-        for (int64_t j = 0; j < m; j++)
-            v[j] = 0.0;
-        for (int64_t a = 0; a < k; a++) {
-            const double *wa = w + a * d, ta = t[a], sa = sm[a];
-            for (int64_t j = 0; j < m; j++)
-                p[j] = u[j] * wa[0];
-            for (int64_t i = 1; i < d; i++)
-                for (int64_t j = 0; j < m; j++)
-                    p[j] += u[i * m + j] * wa[i];
-            for (int64_t j = 0; j < m; j++)
-                v[j] += (p[j] > ta ? p[j] : 0.0) * sa;
-        }
+        int64_t j = 0;
+        for (; j + 4 <= m; j += 4)
+            flux_vector(j, 4, m, d, k, u, w, t, sm, vals + j0);
+        if (j < m)
+            flux_vector(j, m - j, m, d, k, u, w, t, sm, vals + j0);
     }
 }
 
@@ -179,17 +193,15 @@ typedef struct {
 } bitgen_t;
 typedef double (*normal_fn)(bitgen_t *);
 
-/* The next word of Philox4x64-10 as numpy's Philox runs it.  s holds its
-   state: the counter (4 words), the key (2), a buffer of 4 outputs and the
-   index of the next one to hand out.  An empty buffer is refilled from the
+/* Philox4x64-10's block for the counter c and the key (k0, k1), into out.
+   numpy's Philox keeps its state in 11 words, s: the counter (4 words), the
+   key (2), a buffer holding the last block and the index of its next word
+   to hand out.  An empty buffer (index 4) is refilled with the block of the
    counter, incremented with carry first. */
-static inline uint64_t philox(uint64_t *s)
+static inline void philox(const uint64_t *c, uint64_t k0, uint64_t k1,
+                          uint64_t *out)
 {
-    if (s[10] < 4)
-        return s[6 + s[10]++];
-    for (int i = 0; i < 4 && !++s[i]; i++)
-        ;
-    uint64_t c0 = s[0], c1 = s[1], c2 = s[2], c3 = s[3], k0 = s[4], k1 = s[5];
+    uint64_t c0 = c[0], c1 = c[1], c2 = c[2], c3 = c[3];
     for (int round = 0; round < 10; round++) {
         const u128 p = (u128)0xD2E7470EE14C6C93ULL * c0,
                    q = (u128)0xCA5A826395121157ULL * c2;
@@ -197,12 +209,27 @@ static inline uint64_t philox(uint64_t *s)
         c2 = (uint64_t)(p >> 64) ^ c3 ^ k1, c3 = (uint64_t)p;
         k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL;
     }
-    s[6] = c0, s[7] = c1, s[8] = c2, s[9] = c3, s[10] = 1;
-    return c0;
+    out[0] = c0, out[1] = c1, out[2] = c2, out[3] = c3;
 }
 
-static uint64_t philox_u64(void *s) { return philox(s); }
-static double philox_double(void *s) { return (philox(s) >> 11) * 0x1p-53; }
+/* the stream that numpy's slow path reads: a chunk's words r from pos on,
+   then, past its m words, the state s's, as numpy's Philox hands them out */
+typedef struct { const uint64_t *r; int64_t pos, m; uint64_t *s; } reader_t;
+static uint64_t read_u64(void *p)
+{
+    reader_t *q = p;
+    uint64_t *s = q->s;
+    if (q->pos++ < q->m)
+        return q->r[q->pos - 1];
+    if (s[10] >= 4) {
+        for (int i = 0; i < 4 && !++s[i]; i++)
+            ;
+        philox(s, s[4], s[5], s + 6);
+        s[10] = 0;
+    }
+    return s[6 + s[10]++];
+}
+static double read_double(void *p) { return (read_u64(p) >> 11) * 0x1p-53; }
 
 /* the table probe's generator: r once, then 0 (idx 0, rabs 0, accepted by
    any table); next_double counts its calls and returns 0.5, on which the
@@ -226,16 +253,22 @@ static int rejects(normal_fn normal, uint64_t r, double *x)
 
 /* flux_draws: flux_values on n x d standard normals that it draws first,
    bit for bit as numpy's Generator(Philox).standard_normal would from the
-   state s (see philox), which it advances.
+   state s (see philox), which it leaves as numpy would.
 
    numpy's ziggurat takes idx = r & 0xff, rabs = r >> 9 & (2^52 - 1), x =
    rabs wi[idx], negated if bit 8 is set, and returns x if rabs < ki[idx].
-   That fast path runs here, the sign by an XOR on x's sign bit, which gives
-   the bits of -x.  Otherwise r goes back into the buffer and numpy's own
-   routine, handed the stream, draws r again and runs its slow path.  The
-   tables, wi (doubles) and then ki, are read off that routine when ki[0]
-   is 0: wi[idx] is the x it returns for rabs = 1, ki[idx] the least rabs
-   it rejects, by bisection. */
+   Draws run in chunks of at most C words, one per draw left: the buffer's
+   words, then whole blocks run from the counter in registers, the last of
+   them left in the buffer.  One pass gives each word its fast-path value,
+   the sign by an XOR on x's sign bit (the bits of -x), and whether the
+   tables accept it.  The runs of accepted words are copied out; at a
+   rejected word numpy's own routine runs its slow path on a reader that
+   hands it that word again, then the chunk's next words, then the state's.
+   The tables, wi (doubles) and then ki, are read off that routine when
+   ki[0] is 0: wi[idx] is the x it returns for rabs = 1, ki[idx] the least
+   rabs it rejects, by bisection. */
+enum { C = 512 };  /* Philox words per chunk of flux draws */
+
 void flux_draws(int64_t n, int64_t d, int64_t k, uint64_t *restrict s,
                 void *tables, normal_fn normal, double *restrict g,
                 const double *w, const double *t, const double *sm,
@@ -256,18 +289,44 @@ void flux_draws(int64_t n, int64_t d, int64_t k, uint64_t *restrict s,
         }
         ki[idx] = lo;
     }
-    for (int64_t i = 0; i < n * d; i++) {
-        const uint64_t r = philox(s), idx = r & 0xff,
-                       rabs = r >> 9 & ((1ULL << 52) - 1);
-        const double x = (double)rabs * wi[idx];
-        uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
-        bits ^= (r & 0x100) << 55;
-        memcpy(&g[i], &bits, sizeof bits);
-        if (rabs >= ki[idx]) {
-            s[10]--;
-            g[i] = normal(&(bitgen_t){s, philox_u64, NULL, philox_double,
-                                      NULL});
+    uint64_t r[C + 3];  /* a chunk's words, and the rest of its last block */
+    double x[C];
+    char ok[C];
+    for (int64_t done = 0; done < n * d;) {
+        const int64_t m = n * d - done < C ? n * d - done : C;
+        int64_t have = 4 - (int64_t)s[10] < m ? 4 - (int64_t)s[10] : m;
+        memcpy(r, s + 6 + s[10], have * sizeof *r);
+        s[10] += have;
+        if (have < m) {
+            uint64_t c[4] = {s[0], s[1], s[2], s[3]};
+            for (; have < m; have += 4) {
+                if (!++c[0] && !++c[1] && !++c[2])
+                    ++c[3];
+                philox(c, s[4], s[5], r + have);
+            }
+            memcpy(s, c, sizeof c);
+            memcpy(s + 6, r + have - 4, 4 * sizeof *r);
+            s[10] = 4 - (have - m);
+        }
+        for (int64_t i = 0; i < m; i++) {
+            const uint64_t idx = r[i] & 0xff,
+                           rabs = r[i] >> 9 & ((1ULL << 52) - 1);
+            const double v = (double)rabs * wi[idx];
+            uint64_t bits;
+            memcpy(&bits, &v, sizeof bits);
+            bits ^= (r[i] & 0x100) << 55;
+            memcpy(&x[i], &bits, sizeof bits);
+            ok[i] = rabs < ki[idx];
+        }
+        reader_t q = {r, 0, m, s};
+        while (q.pos < m) {
+            const char *bad = memchr(ok + q.pos, 0, m - q.pos);
+            const int64_t end = bad ? bad - ok : m;
+            memcpy(g + done, x + q.pos, (end - q.pos) * sizeof *g);
+            done += end - q.pos, q.pos = end;
+            if (bad)
+                g[done++] = normal(&(bitgen_t){&q, read_u64, NULL,
+                                               read_double, NULL});
         }
     }
     flux_values(n, d, k, g, w, t, sm, work, vals);

@@ -1,9 +1,10 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
 of ``descend`` (training), ``flux_draws`` (the flux estimator's normal draws,
-numpy's Philox stream and ziggurat, and its per-sample pass, ``flux_values``)
-and ``format_table`` (the CSV writer, run with the GIL held), which pass
-arrays as addresses and numpy's and the interpreter's routines as function
-pointers."""
+numpy's Philox stream and ziggurat a chunk of words at a time, numpy's own
+routine only at the fast path's rejections, and its per-sample pass,
+``flux_values``) and ``format_table`` (the CSV writer, run with the GIL
+held), which pass arrays as addresses and numpy's and the interpreter's
+routines as function pointers."""
 
 import contextlib
 import ctypes

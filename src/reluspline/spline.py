@@ -42,8 +42,8 @@ class Dataset(Value):
 
         The first sorted pair at an x is kept; any other pair there must
         agree with its y to 1e-12 (1 + max |y|).  The gaps between
-        consecutive x and the secants between consecutive points must be
-        finite.
+        consecutive x, the secants between consecutive points and the
+        jumps between consecutive secants must be finite.
         """
         points = tuple(points)
         if not points:
@@ -68,12 +68,17 @@ class Dataset(Value):
                                      f"{float(xs[bad.argmax()])}")
                 xs, ys = xs[first], ys[first]
                 dx = xs[1:] - xs[:-1]
-            ok = np.isfinite(dx) & np.isfinite((ys[1:] - ys[:-1]) / dx)
+            secants = (ys[1:] - ys[:-1]) / dx
+            ok = np.isfinite(dx) & np.isfinite(secants)
+            jumps = np.isfinite(secants[1:] - secants[:-1])
         if not ok.all():
             i = int(ok.argmin())
             raise ValueError(
                 f"dataset x difference or secant overflows between "
                 f"x = {float(xs[i])} and x = {float(xs[i + 1])}")
+        if not jumps.all():
+            raise ValueError(f"dataset slope jump overflows at "
+                             f"x = {float(xs[jumps.argmin() + 1])}")
         xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)

@@ -93,6 +93,17 @@ class TestInterpCommand:
         assert ("invalid dataset file: dataset x difference or secant "
                 "overflows" in captured.err)
 
+    def test_overflowing_slope_jump_is_rejected(self, tmp_path, capsys):
+        # finite secants 1e308 and -1e308 around x = 1: the data, not the
+        # result, is blamed, with no numpy warning
+        path = write(tmp_path / "data.json",
+                     {"points": [[0, -1e308], [1, 0], [2, -1e308]]})
+        assert cli.main(["interp", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid dataset file: dataset slope "
+                                "jump overflows at x = 1.0\n")
+
     def test_grid_oracle_disagrees(self, tent_dataset, tmp_path, capsys,
                                    monkeypatch):
         monkeypatch.setattr(spline, "grid_oracle_end_slopes",

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import warnings
 
 import numpy as np
@@ -300,6 +302,76 @@ def numpy_normals(philox, n):
     return g, philox_words(philox)
 
 
+with open(os.path.join(os.path.dirname(_kernel.__file__), "_kernel.c")) as fh:
+    # Philox words per chunk of the kernel's draws
+    CHUNK = int(re.search(r"enum \{ C = (\d+) \}", fh.read()).group(1))
+
+
+def assert_calls_match_numpy(philox, sizes, d=1):
+    """One ``flux_draws`` call (no atoms) of n x d normals for each n in
+    sizes, from the state of a numpy Philox, against numpy's draws from a
+    twin: the draws and the state after every call, bit for bit."""
+    lib, (tables, normal) = _kernel.load(), _kernel.ziggurat()
+    twin = np.random.Philox()
+    twin.state = philox.state
+    rng, state = np.random.Generator(twin), philox_words(philox)
+    for n in sizes:
+        g, work, vals = np.empty((n, d)), np.empty((d + 1) * n), np.empty(n)
+        lib.flux_draws(n, d, 0, state.ctypes.data, tables.ctypes.data,
+                       normal, g.ctypes.data, None, None, None,
+                       work.ctypes.data, vals.ctypes.data)
+        assert g.tobytes() == rng.standard_normal((n, d)).tobytes(), n
+        assert state.tolist() == philox_words(twin).tolist(), n
+
+
+def draw_spans(seed, count):
+    """The stream words where each of numpy's first ``count`` normals from
+    Philox(seed) starts, and where it ends (one past its last word)."""
+    philox = np.random.Philox(seed)
+    rng, ends = np.random.Generator(philox), []
+    for _ in range(count):
+        rng.standard_normal()
+        st = philox.state
+        ends.append(4 * int(st["state"]["counter"][0]) + st["buffer_pos"] - 4)
+    return np.array([0, *ends[:-1]]), np.array(ends)
+
+
+def chunks(starts, ends, n):
+    """The chunks in which ``flux_draws`` reads the first n of these draws:
+    each one's first word, its m words (one per draw left, at most CHUNK)
+    and the end of its last draw, past first + m if that draw reads on into
+    the state."""
+    out, first, found = 0, 0, []
+    while out < n:
+        m = min(CHUNK, n - out)
+        inside = np.flatnonzero((starts >= first) & (starts < first + m))
+        found.append((first, m, int(ends[inside[-1]])))
+        out, first = out + inside.size, int(ends[inside[-1]])
+    return found
+
+
+def find_edge(kind):
+    """A seed and a count n of normals whose single call has a chunk that
+    starts with a rejected word ("first"), or ends with one whose wedge
+    ("wedge") or tail ("tail") reads on past the chunk's words."""
+    for seed in range(200):
+        starts, ends = draw_spans(seed, CHUNK + 2)
+        idx = np.random.Philox(seed).random_raw(ends[-1]) & 0xFF
+        rejected = starts[ends - starts > 1]
+        for p in rejected[rejected < CHUNK]:
+            for n in (p, p + 1, p + 2):
+                for first, m, end in chunks(starts, ends, n):
+                    last = starts[starts < first + m][-1]
+                    if kind == "first":
+                        hit = first > 0 and first in rejected
+                    else:  # the last draw's first word picks its slow path
+                        hit = (end > first + m
+                               and (idx[last] == 0) == (kind == "tail"))
+                    if hit:
+                        return seed, int(n)
+    raise AssertionError(f"no seed gives a {kind} edge")
+
+
 class TestFluxDraws:
     def test_stream_matches_numpy_bit_for_bit(self):
         # 10^7 draws over 10 seeds, in calls of 4093 that leave the Philox
@@ -362,6 +434,25 @@ class TestFluxDraws:
         assert (rabs < ki[idx]).all()
         fast = np.where(words & 0x100, -1.0, 1.0) * (rabs * wi[idx])
         assert fast.tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("kind", ["first", "wedge", "tail"])
+    def test_chunk_edges_match_numpy(self, kind):
+        # numpy's slow path replays a rejected word at a chunk's first word,
+        # or at its last, and from there reads on into the state's words;
+        # a second call carries on from the state the first one left
+        seed, n = find_edge(kind)
+        assert_calls_match_numpy(np.random.Philox(seed), [n, CHUNK + 3])
+
+    @pytest.mark.parametrize("skip", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sizes_at_chunk_edges(self, d, skip):
+        # n d just below, at (where d divides CHUNK) and just past CHUNK,
+        # twice over, from a buffer holding 0 to 3 words: with 3, a whole
+        # chunk ends 3 words into its last block
+        sizes = sorted({(CHUNK - 1) // d, CHUNK // d, CHUNK // d + 1})
+        philox = np.random.Philox(40 + d)
+        philox.random_raw(skip)
+        assert_calls_match_numpy(philox, sizes * 2, d)
 
 
 class TestBump:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ class TestDataset:
                 r"x difference or secant overflows between x = 0\.0 "
                 r"and x = 1e-300")):
             Dataset(points)
+
+    # secants 1e308 and -1e308, finite; the jump between them is not
+    JUMP_OVERFLOW = [(0, -1e308), (1, 0), (2, -1e308)]
+
+    def test_rejects_overflowing_slope_jump(self):
+        # the interpolant's jump at x = 1 was -inf: the fits returned a gap
+        # of nan (squared) or a constant with gap 1 (absolute), with
+        # numpy's overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^dataset slope jump overflows at x = 1\.0$")):
+                Dataset(self.JUMP_OVERFLOW)
+
+    def test_overflowing_jump_never_reaches_the_fit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spline, "_fit", lambda *args: calls.append(args))
+        for loss in ("squared", "absolute"):
+            with pytest.raises(ValueError, match="slope jump overflows"):
+                spline.regularized_fit(Dataset(self.JUMP_OVERFLOW), loss, 1.0)
+        assert calls == []
 
     def test_keeps_steep_finite_secants(self):
         d = Dataset([(0.0, 0.0), (5e-324, 1e-300), (1.0, -1e300)])
