@@ -22,28 +22,6 @@ from ._value import Value, check_integer, frozen
 _UNIT_TOL = 1e-12
 
 
-def _stack_layers(subnets) -> tuple[np.ndarray, ...]:
-    """Matrix j of every chain as one read-only (k, rows, cols) array;
-    numpy rejects a layer whose shape differs between chains."""
-    depths = {len(s) for s in subnets}
-    if len(depths) > 1 or 0 in depths:
-        raise ValueError("all subnets must have the same nonzero depth")
-    layers = tuple(np.array(layer, dtype=float) for layer in zip(*subnets))
-    if any(w.ndim != 3 for w in layers):
-        raise ValueError("subnet matrices must be 2-D")
-    shapes = [w.shape[1:] for w in layers]
-    m = shapes[0][0] if shapes else 1
-    # rows m, ..., m, 1, each matrix taking the m outputs of the one before
-    if shapes and shapes[-1][0] != 1 or len(shapes) > 1 and shapes[1:] != (
-            [(m, m)] * (len(shapes) - 2) + [(1, m)]):
-        raise ValueError("subnet shapes must be m x d, m x m, ..., 1 x m")
-    for w in layers:
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite weight matrix")
-        w.setflags(write=False)
-    return layers
-
-
 def _norms(w) -> np.ndarray:
     """Frobenius norm of each matrix in a stack, one dot product each.
 
@@ -83,10 +61,36 @@ class ParallelDeepNet(Value):
     layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        top = frozen(self.top)
-        if top.ndim != 1 or top.size != len(self.subnets):
+        depths = {len(s) for s in self.subnets}
+        if len(depths) > 1 or 0 in depths:
+            raise ValueError("all subnets must have the same nonzero depth")
+        self._init(zip(*self.subnets), self.top)
+
+    @classmethod
+    def _from_layers(cls, layers, top):
+        """The net with chain i = (layers[0][i], layers[1][i], ...)."""
+        net = object.__new__(cls)
+        net._init(layers, top)
+        return net
+
+    def _init(self, layers, top):
+        """Check and keep read-only copies of the stacks and the top."""
+        top = frozen(top)
+        layers = tuple(np.array(w, dtype=float) for w in layers)
+        if any(w.ndim != 3 for w in layers):
+            raise ValueError("subnet matrices must be 2-D")
+        shapes = [w.shape for w in layers]
+        k, m = shapes[0][:2] if shapes else (0, 1)
+        # rows m, ..., m, 1, each matrix taking the m outputs of the one before
+        if shapes and shapes[-1][1] != 1 or len(shapes) > 1 and shapes[1:] != (
+                [(k, m, m)] * (len(shapes) - 2) + [(k, 1, m)]):
+            raise ValueError("subnet shapes must be m x d, m x m, ..., 1 x m")
+        for w in layers:
+            if not np.all(np.isfinite(w)):
+                raise ValueError("non-finite weight matrix")
+            w.setflags(write=False)
+        if top.ndim != 1 or top.size != k:
             raise ValueError("need one top coefficient per subnet")
-        layers = _stack_layers(self.subnets)
         if not np.all(np.isfinite(top)):
             raise ValueError("non-finite top coefficient")
         object.__setattr__(self, "layers", layers)
@@ -112,8 +116,8 @@ class SphereFactoredNet(ParallelDeepNet):
     """Parallel net with every matrix on the Frobenius unit sphere; its top
     coefficients are the alpha of the bridge penalty."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _init(self, layers, top):
+        super()._init(layers, top)
         for w in self.layers:
             if np.any(abs(_norms(w) - 1.0) > _UNIT_TOL):
                 raise ValueError("subnet matrices must have unit Frobenius norm")
@@ -159,7 +163,7 @@ def align_to_sphere(net: ParallelDeepNet) -> SphereFactoredNet:
                                              exp.sum(axis=0)))
     if not np.isfinite(alpha).all():
         raise ValueError("sphere coefficient alpha overflows")
-    return SphereFactoredNet(tuple(zip(*units)), alpha)
+    return SphereFactoredNet._from_layers(units, alpha)
 
 
 def from_alpha(s: SphereFactoredNet) -> ParallelDeepNet:
@@ -170,7 +174,7 @@ def from_alpha(s: SphereFactoredNet) -> ParallelDeepNet:
     """
     r = np.abs(s.alpha) ** (1.0 / s.depth)
     layers = [r[:, None, None] * w for w in s.layers]
-    return ParallelDeepNet(tuple(zip(*layers)), np.sign(s.alpha) * r)
+    return ParallelDeepNet._from_layers(layers, np.sign(s.alpha) * r)
 
 
 def bridge_penalty(alpha, L: int) -> float:
@@ -206,18 +210,35 @@ def check_alignment(net: ParallelDeepNet) -> AlignmentReport:
 
 
 def _null_vector(m: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector in the null space of a wide block m.
+    """Deterministic unit vector in the null space of an N x (N+1) block m.
 
     A zero column (a chain dead on every input) gives the unit vector on the
-    first such column, which rounding cannot move.
+    first such column, which rounding cannot move.  Else, for m = [A | a], it
+    is [A^-1 a; -1] scaled, with an LU residual near eps |m| however
+    ill-conditioned A is, or a complete QR's if that solve fails.
     """
     dead = np.flatnonzero(~m.any(axis=0))
     if dead.size:
         return np.eye(m.shape[1])[dead[0]]
-    # the last column of a complete QR of m.T is orthogonal to every row of m
-    beta = np.linalg.qr(m.T, mode="complete")[0][:, -1]
-    # sign by the largest entry: the first nonzero one may be rounding noise
-    return -beta if beta[np.argmax(np.abs(beta))] < 0 else beta
+    try:
+        beta = np.append(np.linalg.solve(m[:, :-1], m[:, -1]), -1.0)
+        if not np.isfinite(beta).all():
+            raise np.linalg.LinAlgError("the solve overflows")
+    except np.linalg.LinAlgError:
+        beta = np.linalg.qr(m.T, mode="complete")[0][:, -1]
+    # sign by the largest entry, as the first nonzero one may be rounding
+    # noise; made +1, it also keeps the norm from overflowing
+    beta /= beta[np.argmax(np.abs(beta))]
+    return beta / np.linalg.norm(beta)
+
+
+def _walk_values(s: SphereFactoredNet, X) -> np.ndarray:
+    """Chain values at the rows of X; ValueError unless all are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _chain_values(s.layers, X)
+    if not (np.isfinite(X).all() and np.isfinite(phi).all()):
+        raise ValueError("non-finite input or chain value")
+    return phi
 
 
 def _walk_step(alpha, phi):
@@ -236,8 +257,9 @@ def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
     slope sum sign(a_i) |a_i|^(2/L - 1) beta_i is not positive.  Each
     |a_i + t beta_i|^(2/L) is concave until it crosses zero, so the penalty
     stays under its tangent.  At L = 2 the weights are 1: the l1 walk.
+    Raises ValueError if X or a chain's value at it is not finite.
     """
-    phi = _chain_values(s.layers, X)
+    phi = _walk_values(s, X)
     alpha = np.array(s.alpha)
     while (step := _walk_step(alpha, phi)) is not None:
         sub, beta = step
@@ -250,7 +272,7 @@ def sparsify_support(s: SphereFactoredNet, X) -> SphereFactoredNet:
         t = crossing.min()
         alpha[sub] = a + t * beta
         alpha[sub[crossing <= t]] = 0.0
-    return SphereFactoredNet(s.subnets, alpha)
+    return SphereFactoredNet._from_layers(s.layers, alpha)
 
 
 def improving_direction(s: SphereFactoredNet, X):
@@ -261,11 +283,11 @@ def improving_direction(s: SphereFactoredNet, X):
     and rho small enough that alpha + rho*beta and alpha - rho*beta keep
     every active sign.  Strict concavity of |.|^(2/L) then makes the smaller
     of the two perturbed penalties strictly below the current one.  Returns
-    None when N or fewer coefficients are active.
+    None when N or fewer coefficients are active; X as in sparsify_support.
     """
     if s.depth < 3:
         raise ValueError("use sparsify_support for depth 2")
-    step = _walk_step(s.alpha, _chain_values(s.layers, X))
+    step = _walk_step(s.alpha, _walk_values(s, X))
     if step is None:
         return None
     sub, beta_sub = step

@@ -136,6 +136,8 @@ def reflect(f: PwlFunction) -> PwlFunction:
 
 def _merge_runs(points, jumps, joins):
     """Merge each point that ``joins`` the one before; jumps add in order."""
+    if not joins.any():
+        return points, jumps + 0.0  # as the sums below: -0.0 becomes 0.0
     new = np.concatenate(([True], ~joins))[:points.size]
     sums = np.zeros(np.count_nonzero(new))
     np.add.at(sums, np.cumsum(new) - 1, jumps)

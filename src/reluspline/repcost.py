@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class ThresholdMeasure1D(Value):
     c: float = 0.0
 
     def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float).reshape(len(self.atoms), 3)
+        a = np.array(self.atoms, dtype=float).reshape(len(self.atoms), 3)
         w, b, m = a.T
         if np.any(np.abs(w) != 1.0):
             raise ValueError("atom signs must be -1 or +1")
@@ -65,12 +66,27 @@ class ThresholdMeasure1D(Value):
             raise ValueError("non-finite atom threshold, mass or offset")
         if np.any(m == 0.0):
             raise ValueError("atom masses must be nonzero")
-        a = a[np.lexsort((w, b))]
-        if np.any((a[1:, :2] == a[:-1, :2]).all(axis=1)):
-            raise ValueError("at most one atom per (w, b) pair")
+        if not _strictly_sorted(a):  # optimal_alpha's atoms are in order
+            a = a[np.lexsort((w, b))]
+            if not _strictly_sorted(a):
+                raise ValueError("at most one atom per (w, b) pair")
         a.setflags(write=False)
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "c", c)
+
+    @cached_property
+    def _pwl(self) -> PwlFunction:
+        """Exact function of the measure, built once, no jump dropped: atom
+        (w, b, m) adds jump m at b, and slope -m on the far left if w = -1."""
+        w, b, m = self.atoms.T
+        anchor = (0.0, self.c + _relu_sum(w, b, m, 0.0))
+        return pwl._sum_jumps((-m[w == -1]).sum(), b, m, anchor)
+
+
+def _strictly_sorted(atoms) -> bool:
+    """Whether the (w, b, mass) rows strictly increase in (b, w)."""
+    w, b = atoms[:, 0], atoms[:, 1]
+    return bool(((b[1:] > b[:-1]) | (b[1:] == b[:-1]) & (w[1:] > w[:-1])).all())
 
 
 def measure_norm(alpha: ThresholdMeasure1D) -> float:
@@ -83,17 +99,9 @@ def _relu_sum(w, b, m, x: float) -> float:
     return float(m @ np.maximum(w * (x - b), 0.0))
 
 
-def _measure_pwl(alpha: ThresholdMeasure1D) -> PwlFunction:
-    """Exact function of the measure, no jump dropped: an atom (w, b, m) adds
-    a slope jump m at b, and slope -m on the far left when w = -1."""
-    w, b, m = alpha.atoms.T
-    anchor = (0.0, alpha.c + _relu_sum(w, b, m, 0.0))
-    return pwl._sum_jumps((-m[w == -1]).sum(), b, m, anchor)
-
-
 def measure_eval(alpha: ThresholdMeasure1D, x):
     """Induced function h(x) = sum mass * [w(x-b)]_+ + c, through pwl_eval."""
-    return pwl.pwl_eval(_measure_pwl(alpha), x)
+    return pwl.pwl_eval(alpha._pwl, x)
 
 
 def representation_cost(f: PwlFunction) -> CostReport:
@@ -141,7 +149,7 @@ def optimal_alpha(f: PwlFunction) -> ThresholdMeasure1D:
 def measure_to_pwl(alpha: ThresholdMeasure1D) -> PwlFunction:
     """Exact piecewise-linear function induced by a discrete measure: the
     canonical form of the one measure_eval evaluates through pwl_eval."""
-    return pwl.canonicalize(_measure_pwl(alpha))
+    return pwl.canonicalize(alpha._pwl)
 
 
 def measure_to_net(alpha: ThresholdMeasure1D) -> TwoLayerNet:

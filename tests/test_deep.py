@@ -221,6 +221,96 @@ class TestBatchedKernel:
                 s.subnets[0][0][0, 0] = 1.0
 
 
+class TestDerivedNets:
+    """Nets built from stacks: checked like the constructor's, owning
+    read-only copies."""
+
+    def test_layers_are_read_only_and_unshared(self):
+        rng = np.random.default_rng(69)
+        net = random_net(rng, 3, 3, 6, 2)
+        s = align_to_sphere(net)
+        pairs = [(net, s), (s, from_alpha(s)),
+                 (s, sparsify_support(s, rng.standard_normal((2, 2))))]
+        for before, after in pairs:
+            arrays = after.layers + sum(after.subnets, ()) + (after.top,)
+            for w in arrays:
+                assert not w.flags.writeable
+                assert not any(np.shares_memory(w, v)
+                               for v in before.layers + (before.top,))
+
+    def test_caller_stacks_stay_writable_and_apart(self):
+        layers = (np.full((2, 1, 2), 0.6), np.ones((2, 1, 1)))
+        layers[0][:, 0, 1] = 0.8
+        top = np.array([1.0, -2.0])
+        s = SphereFactoredNet._from_layers(layers, top)
+        assert s == SphereFactoredNet(((layers[0][0], layers[1][0]),
+                                       (layers[0][1], layers[1][1])), top)
+        assert all(w.flags.writeable for w in layers + (top,))
+        layers[0][:] = 0.0
+        top[:] = 0.0
+        assert s.layers[0][0].tolist() == [[0.6, 0.8]]
+        assert s.top.tolist() == [1.0, -2.0]
+
+    @pytest.mark.parametrize("layers, top, match", [
+        ((np.ones((2, 1, 2)),), np.ones(2), "unit Frobenius norm"),
+        ((np.full((2, 1, 1), np.nan),), np.ones(2), "non-finite weight"),
+        ((np.ones((2, 1, 1)),), [np.inf, 1.0], "non-finite top"),
+        ((np.ones((2, 1, 1)),), np.ones(3), "one top coefficient"),
+        ((np.ones((2, 1)),), np.ones(2), "must be 2-D"),
+        ((np.ones((2, 1, 1)), np.ones((3, 1, 1))), np.ones(2),
+         "subnet shapes"),
+        ((np.ones((2, 2, 1)),), np.ones(2), "subnet shapes"),
+    ], ids=["not-unit", "nan-weight", "inf-top", "top-count", "2-D-stack",
+            "chain-counts-differ", "last-not-row"])
+    def test_stacks_are_checked(self, layers, top, match):
+        with pytest.raises(ValueError, match=match):
+            SphereFactoredNet._from_layers(layers, top)
+
+
+class TestNullVector:
+    """The walk's null vector: an LU solve, and a complete QR where the
+    leading square block is exactly singular or the solve overflows."""
+
+    @staticmethod
+    def _singular(rng, n):
+        # equal first columns whose largest entry is a power of two, so
+        # elimination leaves an exactly zero pivot
+        m = rng.standard_normal((n, n + 1))
+        m[:, 0] = rng.integers(-7, 8, n)
+        m[0, 0] = 8.0
+        m[:, 1] = m[:, 0]
+        return m
+
+    @classmethod
+    def _blocks(cls):
+        rng = np.random.default_rng(91)
+        n = 6
+        near = cls._singular(rng, n)
+        near[1, 1] = np.nextafter(near[1, 1], np.inf)
+        low_rank = rng.standard_normal((n, n - 2)) @ rng.standard_normal(
+            (n - 2, n + 1))
+        # 1 / 1e-310 overflows: chains (1, 0) and (0, 1) at (1e-310, 1)
+        return {"full-rank": rng.standard_normal((n, n + 1)),
+                "singular": cls._singular(rng, n), "ulp-from-singular": near,
+                "rank-below-n": low_rank,
+                "overflowing-solve": np.array([[1e-310, 1.0]])}
+
+    @pytest.mark.parametrize("kind", ["full-rank", "singular",
+                                      "ulp-from-singular", "rank-below-n",
+                                      "overflowing-solve"])
+    def test_unit_signed_null_vector(self, kind):
+        m = self._blocks()[kind]
+        if kind == "singular":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(m[:, :-1], m[:, -1])
+        beta = deep._null_vector(m)
+        assert beta.shape == (m.shape[1],)
+        assert abs(np.linalg.norm(beta) - 1.0) <= 4 * np.finfo(float).eps
+        assert beta[np.argmax(np.abs(beta))] > 0.0
+        assert np.linalg.norm(m @ beta) <= 1e-12 * np.linalg.norm(m, 2)
+        assert np.array_equal(deep._null_vector(-m), beta)
+
+
 class TestCost:
     def test_simple_values(self):
         net = ParallelDeepNet(((np.array([[1.0, 0.0]]),),), [1.0])
@@ -410,6 +500,21 @@ class TestSparsify:
             want = reference_eval(s, X)
             assert np.allclose(reference_eval(out, X), want, rtol=0.0,
                                atol=1e-10)
+
+    @pytest.mark.parametrize("call", [sparsify_support, improving_direction])
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, -np.inf],
+                                   [1.5e308, 1.5e308]],
+                             ids=["nan", "inf", "overflowing-chain"])
+    def test_rejects_non_finite_inputs_and_values(self, call, x):
+        # each chain reads 0.6 x + 0.8 y, 2.1e308 at the last input; at
+        # (0, -inf) it reads relu(-inf) = 0, so only the input shows it
+        first = np.tile([[0.6, 0.8]], (3, 1)) / np.sqrt(3.0)
+        s = SphereFactoredNet((((first, np.full((1, 3), 3 ** -0.5)),) * 5),
+                              np.arange(1.0, 6.0))
+        X = np.array([[1.0, 2.0], x])
+        with pytest.raises(ValueError,
+                           match="^non-finite input or chain value$"):
+            call(s, X)
 
 
 class TestDeepSparsify:

@@ -106,6 +106,33 @@ class TestThresholdMeasure:
         with pytest.raises(ValueError):
             ThresholdMeasure1D(((1, 0.0, 1.0), (1, 0.0, 2.0)))
 
+    @pytest.mark.parametrize("atoms", [
+        ((-1, 1.0, 1.0), (1, 0.0, 1.0), (1, 0.0, 2.0)),
+        ((1, 0.0, 1.0), (1, -0.0, 2.0)),
+    ], ids=["unsorted", "signed-zero"])
+    def test_duplicate_atom_in_any_order(self, atoms):
+        with pytest.raises(ValueError, match="at most one atom"):
+            ThresholdMeasure1D(atoms)
+
+    def test_sorts_by_threshold_then_sign(self):
+        a = ThresholdMeasure1D(((1, 1.0, 2.0), (1, 0.0, 3.0), (-1, 0.0, 1.0)))
+        assert a.atoms.tolist() == [[-1.0, 0.0, 1.0], [1.0, 0.0, 3.0],
+                                    [1.0, 1.0, 2.0]]
+
+    def test_keeps_a_copy_of_sorted_atoms(self):
+        atoms = np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, 3.0], [1.0, 1.0, 2.0]])
+        a = ThresholdMeasure1D(atoms, 0.5)
+        values = repcost.measure_eval(a, [-1.0, 0.5, 2.0])
+        assert atoms.flags.writeable and not a.atoms.flags.writeable
+        atoms[:] = 7.0
+        assert a.atoms.tolist() == [[-1.0, 0.0, 1.0], [1.0, 0.0, 3.0],
+                                    [1.0, 1.0, 2.0]]
+        assert np.array_equal(repcost.measure_eval(a, [-1.0, 0.5, 2.0]),
+                              values)
+        # the function built for evaluation is not a field
+        b = ThresholdMeasure1D(a.atoms, 0.5)
+        assert a == b and hash(a) == hash(b) and a.to_dict() == b.to_dict()
+
     def test_json_round_trip(self):
         a = ThresholdMeasure1D(((1, 0.5, 2.0), (-1, 1.0, -1.0)), 3.0)
         b = ThresholdMeasure1D.from_json(a.to_json())
