@@ -459,3 +459,432 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
     }
     return o - out;
 }
+
+/* fit: the exact regularized fit behind spline.regularized_fit, on n >= 2
+   points with increasing xs: the fitted values yhat that minimize
+   |y - yhat|^2 (squared) or |y - yhat|_1, plus lam cost(yhat), into out[0..n),
+   and a lower bound on that minimum, into out[n].  Returns the active-set
+   passes, or -1 if they did not converge.
+
+   With A = [D; c], D the (n-2) x n slope-jump matrix and c the row of the
+   first plus the last secant slope, cost(yhat) is the largest v . A yhat
+   over the polytope P: |v_j| + |v_c| <= 1, |v_c| <= 1/2.  So with u =
+   (lam/2) v the squared loss has the dual min |y - A^T u|^2 over u in
+   (lam/2) P, with yhat = y - A^T u, and the absolute loss the LP max
+   2 y . A^T u over the same u with |2 A^T u| <= 1, whose multipliers on
+   those rows are y - yhat.  With A^T = QR and z = R u, the first is the
+   projection of z0 = Q^T y onto a polytope in z and the second an LP over
+   it; z is well scaled where u is not, since A differences the secant
+   slopes.  A^T is banded but for its last column, c, so each Householder
+   reflector spans 3 rows and R is banded but for its last column: the QR
+   and R^-1 cost O(n^2).  One primal active-set method, passes, solves
+   both.  A solve fixes the sign of v_c, which makes the polytope simple;
+   when the multipliers show that the other sign does better, it continues
+   there once.
+
+   work holds m (2n + 3m + H + 9) + 3H + 2n doubles, for m = n - 1 and H =
+   2m rows, 2m + 2n for the absolute loss.  The passes and the additions to
+   the working set, where the time goes, have AVX2 clones, into which dot
+   and axpy are inlined; dot sums in a fixed order, so no bit depends on the
+   body that runs. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* a . b: two 4-lane sums, added lanewise, then pairwise, then the tail */
+INLINE double dot(int64_t n, const double *a, const double *b)
+{
+    v4 s0 = {0}, s1 = {0}, x, y;
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        LOAD(x, a + i), LOAD(y, b + i), s0 += x * y;
+        LOAD(x, a + i + 4), LOAD(y, b + i + 4), s1 += x * y;
+    }
+    s0 += s1;
+    double s = (s0[0] + s0[1]) + (s0[2] + s0[3]);
+    for (; i < n; i++)
+        s += a[i] * b[i];
+    return s;
+}
+
+INLINE void axpy(int64_t n, double a, const double *restrict x,
+                 double *restrict y)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] += a * x[i];
+}
+
+/* The active-set method's state: z in R^m; H unit rows, row j at t + j m,
+   with bounds h; the objective, |z - z0|^2 / 2 or, for an LP, -2 z0 . z;
+   the working rows work[0..w), free[j] = 0 on them, with an orthonormal
+   basis (vector j at basis + j m) and the triangle tri (column j at tri +
+   j m) of the rows = basis tri; the multipliers of the last pass, and
+   scratch vectors. */
+typedef struct {
+    int64_t m, H, w, lp;
+    const double *t, *h, *z0;
+    double *z, *basis, *tri, *mult, *grad, *step, *v;
+    int64_t *work;
+    char *free;
+} active_set;
+
+/* row i into the working set: modified Gram-Schmidt, twice, onto the
+   basis; classical Gram-Schmidt, even twice, left the basis of working rows
+   of condition 1e4 orthonormal only to 8e-14, and the final z with it */
+DISPATCH static void add_row(active_set *s, int64_t i)
+{
+    const int64_t m = s->m, w = s->w;
+    double *col = s->basis + w * m, *r = s->tri + w * m;
+    memcpy(col, s->t + i * m, m * sizeof *col);
+    for (int64_t j = 0; j < w; j++)
+        r[j] = 0.0;
+    for (int pass = 0; pass < 2; pass++)
+        for (int64_t j = 0; j < w; j++) {
+            const double d = dot(m, s->basis + j * m, col);
+            r[j] += d;
+            axpy(m, -d, s->basis + j * m, col);
+        }
+    r[w] = sqrt(dot(m, col, col));
+    for (int64_t l = 0; l < m; l++)
+        col[l] /= r[w];
+    s->work[w] = i, s->free[i] = 0, s->w = w + 1;
+}
+
+/* the working row at position p out: its column leaves the triangle, and
+   Givens rotations of the rows below and of the basis make it triangular
+   again (Golub & Van Loan, Matrix Computations, 4th ed., 6.5.2) */
+static void drop_row(active_set *s, int64_t p)
+{
+    const int64_t m = s->m, w = --s->w;
+    s->free[s->work[p]] = 1;
+    for (int64_t j = p; j < w; j++) {
+        s->work[j] = s->work[j + 1];
+        memcpy(s->tri + j * m, s->tri + (j + 1) * m, (j + 2) * sizeof(double));
+    }
+    for (int64_t r = p; r < w; r++) {
+        const double *d = s->tri + r * m, g = hypot(d[r], d[r + 1]);
+        const double c = d[r] / g, sn = d[r + 1] / g;
+        for (int64_t j = r; j < w; j++) {
+            double *col = s->tri + j * m, x = col[r], y = col[r + 1];
+            col[r] = c * x + sn * y, col[r + 1] = c * y - sn * x;
+        }
+        double *b0 = s->basis + r * m, *b1 = b0 + m;
+        for (int64_t i = 0; i < m; i++) {
+            const double x = b0[i], y = b1[i];
+            b0[i] = c * x + sn * y, b1[i] = c * y - sn * x;
+        }
+    }
+}
+
+/* x with tri^T x = b, in place */
+INLINE void solve_tri_t(const active_set *s, double *b)
+{
+    for (int64_t r = 0; r < s->w; r++)
+        b[r] = (b[r] - dot(r, s->tri + r * s->m, b)) / s->tri[r * s->m + r];
+}
+
+/* x with tri x = b, in place */
+INLINE void solve_tri(const active_set *s, double *b)
+{
+    for (int64_t r = s->w - 1; r >= 0; r--) {
+        b[r] /= s->tri[r * s->m + r];
+        axpy(r, -b[r], s->tri + r * s->m, b);
+    }
+}
+
+/* the basis and triangle anew from the working rows, in order */
+static void refactor(active_set *s)
+{
+    const int64_t w = s->w;
+    s->w = 0;
+    for (int64_t j = 0; j < w; j++)
+        add_row(s, s->work[j]);
+}
+
+/* At most budget passes of the primal active-set method from a feasible z
+   and its working set; returns the passes run, the last the one that found
+   no negative multiplier, or 0 if they ran out.  A pass puts an LP's z back
+   on the working rows, then steps along the objective's descent projected
+   off them, up to the first row it meets, which joins the set, or to the
+   projection's minimum; else it drops the least row of negative
+   multiplier (Bland's rule). */
+DISPATCH static int64_t passes(active_set *s, int64_t budget)
+{
+    const int64_t m = s->m, H = s->H;
+    const double *t = s->t, *h = s->h;
+    double *z = s->z, *grad = s->grad, *step = s->step, *mult = s->mult;
+    int stationary = 0;
+    for (int64_t it = 1; it <= budget; it++) {
+        const int64_t w = s->w;
+        if (s->lp && w) {  /* long LP steps drift off the working rows */
+            double *x = s->v;
+            for (int64_t j = 0; j < w; j++)
+                x[j] = h[s->work[j]];
+            solve_tri_t(s, x);
+            for (int64_t j = 0; j < w; j++)
+                axpy(m, x[j] - dot(m, s->basis + j * m, z), s->basis + j * m,
+                     z);
+        }
+        for (int64_t i = 0; i < m; i++) {
+            grad[i] = s->lp ? -2.0 * s->z0[i] : z[i] - s->z0[i];
+            step[i] = -grad[i];
+        }
+        for (int64_t j = 0; j < w; j++) {  /* -basis^T grad, for now */
+            mult[j] = -dot(m, s->basis + j * m, grad);
+            axpy(m, -mult[j], s->basis + j * m, step);
+        }
+        /* a step or a rate at rounding level is zero */
+        const double size = sqrt(dot(m, step, step));
+        if (!stationary && w < m && size > 1e-12 * sqrt(dot(m, grad, grad))) {
+            double best = INFINITY;
+            int64_t hit = -1;
+            for (int64_t j = 0; j < H; j++) {
+                const double *row = t + j * m;
+                const double rate = s->free[j] ? dot(m, row, step) : 0.0;
+                if (rate > 1e-9 * size) {
+                    const double gap = h[j] - dot(m, row, z);
+                    const double ratio = (gap > 0.0 ? gap : 0.0) / rate;
+                    if (ratio < best)
+                        best = ratio, hit = j;
+                }
+            }
+            if (best < (s->lp ? INFINITY : 1.0)) {
+                axpy(m, best, step, z);
+                add_row(s, hit);
+                continue;
+            }
+            if (!s->lp) {
+                axpy(m, 1.0, step, z);
+                stationary = 1;
+                continue;
+            }
+        }
+        stationary = 0;
+        solve_tri(s, mult);
+        int64_t drop = -1;
+        for (int64_t j = 0; j < w; j++)
+            if (mult[j] < 0.0 && (drop < 0 || s->work[j] < s->work[drop]))
+                drop = j;
+        if (drop < 0)
+            return it;
+        drop_row(s, drop);
+    }
+    return 0;
+}
+
+/* y minus tau v (v . y), v = (1, x[j+1..e-1]) on rows j..e-1: Householder
+   reflector j */
+INLINE void reflect(int64_t j, int64_t e, const double *x, double tau,
+                    double *y)
+{
+    double d = y[j];
+    for (int64_t i = j + 1; i < e; i++)
+        d += x[i] * y[i];
+    d *= tau;
+    y[j] -= d;
+    for (int64_t i = j + 1; i < e; i++)
+        y[i] -= d * x[i];
+}
+
+/* the unit rows of v_c + v_j <= 1, v_c - v_j <= 1, v_c <= 1/2 and -v_c <= 0,
+   v_c read as sign v_c, then of the LP's 2 A^T u <= 1 and -2 A^T u <= 1,
+   their bounds and their norms; u_j = (R^-1 z)_j, R^-1 row-major */
+static void fit_rows(int64_t n, int64_t H, double sign, double lam,
+                     const double *q, const double *rinv, double *t,
+                     double *h, double *norm)
+{
+    const int64_t m = n - 1, k = m - 1;
+    const double *rk = rinv + k * m;
+    for (int64_t j = 0; j < k; j++)
+        for (int64_t i = 0; i < m; i++) {
+            t[j * m + i] = rinv[j * m + i] + sign * rk[i];
+            t[(k + j) * m + i] = sign * rk[i] - rinv[j * m + i];
+        }
+    for (int64_t i = 0; i < m; i++) {
+        t[2 * k * m + i] = sign * rk[i], t[(2 * k + 1) * m + i] = -sign * rk[i];
+        for (int64_t l = 0; 2 * m + l < H; l++)  /* the LP's 2n rows */
+            t[(2 * m + l) * m + i] =
+                l < n ? 2.0 * q[i * n + l] : -2.0 * q[i * n + l - n];
+    }
+    for (int64_t j = 0; j < H; j++) {
+        norm[j] = sqrt(dot(m, t + j * m, t + j * m));
+        h[j] = (j < 2 * k ? 0.5 * lam : j == 2 * k ? 0.25 * lam
+                : j == 2 * k + 1 ? 0.0 : 1.0) / norm[j];
+        for (int64_t i = 0; i < m; i++)
+            t[j * m + i] /= norm[j];
+    }
+}
+
+int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
+            int squared, double *work, double *out)
+{
+    const int64_t m = n - 1, k = m - 1, H = 2 * m + (squared ? 0 : 2 * n);
+    double *q = work, *a = q + n * m, *rinv = a + n * m, *t = rinv + m * m,
+           *basis = t + H * m, *tri = basis + m * m, *h = tri + m * m,
+           *norm = h + H, *z = norm + H, *z0 = z + m, *tau = z0 + m,
+           *u = tau + m, *mult = u + m, *grad = mult + m, *step = grad + m,
+           *v = step + m, *inv = v + m, *c = inv + n;
+    int64_t *rows = (int64_t *)(c + n);
+    active_set s = {m, H, 0, !squared, t, h, z0, z, basis, tri, mult, grad,
+                    step, v, rows, (char *)(rows + m)};
+    /* A^T, column r the row r of A: D's rows, then c */
+    for (int64_t j = 0; j < m; j++)
+        inv[j] = 1.0 / (xs[j + 1] - xs[j]);
+    memset(a, 0, n * m * sizeof *a);
+    memset(c, 0, n * sizeof *c);
+    for (int64_t r = 0; r < k; r++) {
+        a[r * n + r] = inv[r];
+        a[r * n + r + 1] = -inv[r + 1] - inv[r];
+        a[r * n + r + 2] = inv[r + 1];
+    }
+    c[0] -= inv[0], c[1] += inv[0], c[m - 1] -= inv[m - 1], c[m] += inv[m - 1];
+    memcpy(a + k * n, c, n * sizeof *c);
+    /* Householder, as LAPACK's dgeqr2: reflector j spans rows j..e-1 */
+    for (int64_t j = 0; j < m; j++) {
+        const int64_t e = j + 3 < n ? j + 3 : n;
+        double *x = a + j * n, scale = 0.0, ss = 0.0;
+        for (int64_t i = j + 1; i < e; i++)
+            scale = fmax(scale, fabs(x[i]));
+        tau[j] = 0.0;
+        if (scale == 0.0)
+            continue;
+        for (int64_t i = j + 1; i < e; i++)
+            ss += (x[i] / scale) * (x[i] / scale);
+        const double alpha = x[j],
+                     beta = -copysign(hypot(alpha, scale * sqrt(ss)), alpha);
+        tau[j] = (beta - alpha) / beta;
+        for (int64_t i = j + 1; i < e; i++)
+            x[i] /= alpha - beta;
+        x[j] = beta;
+        /* the columns it meets: D's next two, and c */
+        for (int64_t l = j + 1; l < m; l++)
+            if (l <= j + 2 || l == k)
+                reflect(j, e, x, tau[j], a + l * n);
+    }
+    /* Q, column-major, by backward accumulation as dorg2r */
+    memset(q, 0, n * m * sizeof *q);
+    for (int64_t j = m - 1; j >= 0; j--) {
+        const int64_t e = j + 3 < n ? j + 3 : n;
+        q[j * n + j] = 1.0;
+        for (int64_t l = j; l < m; l++)
+            reflect(j, e, a + j * n, tau[j], q + l * n);
+    }
+    /* R^-1 by back substitution, a column at a time: row i of R holds
+       R[i][i..i+2] and R[i][k] */
+    memset(rinv, 0, m * m * sizeof *rinv);
+    for (int64_t col = 0; col < m; col++) {
+        rinv[col * m + col] = 1.0 / a[col * n + col];
+        for (int64_t i = col - 1; i >= 0; i--) {
+            double d = 0.0;
+            for (int64_t l = i + 1; l <= col && l <= i + 2; l++)
+                d += a[l * n + i] * rinv[l * m + col];
+            if (col == k && k > i + 2)
+                d += a[k * n + i] * rinv[k * m + col];
+            rinv[i * m + col] = -d / a[i * n + i];
+        }
+    }
+    for (int64_t j = 0; j < m; j++)
+        z0[j] = dot(n, q + j * n, ys);
+
+    fit_rows(n, H, 1.0, lam, q, rinv, t, h, norm);
+    memset(z, 0, m * sizeof *z);
+    memset(s.free, 1, H);
+    const int64_t budget = 10 * H - 1;
+    int64_t done = passes(&s, budget);
+    if (!done)
+        return -1;
+    /* optimal with v_c of one sign; at v_c = 0 the other sign is better
+       unless the bound's multiplier is at most twice the slope rows' */
+    double bound = 0.0, slopes = 0.0;
+    for (int64_t j = 0; j < s.w; j++) {
+        const double mu = mult[j] / norm[rows[j]];
+        if (rows[j] == 2 * k + 1)
+            bound = mu;
+        else if (rows[j] < 2 * k)
+            slopes += mu;
+    }
+    if (bound > 2.0 * slopes) {
+        fit_rows(n, H, -1.0, lam, q, rinv, t, h, norm);
+        refactor(&s);
+        const int64_t more = passes(&s, budget - done);
+        if (!more)
+            return -1;
+        done += more;
+    }
+    /* z exactly on the working rows, plus the part of z0 (squared loss) or
+       of z (LP) off them; a full working set leaves no such part, so a z of
+       order lam stays accurate however large y is */
+    refactor(&s);
+    const int64_t w = s.w;
+    for (int64_t j = 0; j < w; j++)
+        v[j] = h[rows[j]];
+    solve_tri_t(&s, v);
+    if (w < m) {
+        if (squared)
+            memcpy(z, z0, m * sizeof *z);
+        for (int64_t j = 0; j < w; j++)
+            grad[j] = dot(m, basis + j * m, z);
+        for (int64_t j = 0; j < w; j++)
+            axpy(m, -grad[j], basis + j * m, z);
+    } else {
+        memset(z, 0, m * sizeof *z);
+    }
+    for (int64_t j = 0; j < w; j++)
+        axpy(m, v[j], basis + j * m, z);
+    if (squared) {
+        double mean = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            mean += ys[i];
+        mean /= n;
+        memset(out, 0, n * sizeof *out);
+        for (int64_t j = 0; j < m; j++)
+            axpy(n, z0[j] - z[j], q + j * n, out);
+        for (int64_t i = 0; i < n; i++)
+            out[i] += mean;
+    } else {
+        /* the box rows' multipliers move y onto yhat; with no slope row in
+           the set, A yhat = 0, and yhat is the y of a point off the box */
+        int64_t slope_rows = 0;
+        for (int64_t j = 0; j < w; j++)
+            grad[j] = dot(m, basis + j * m, z0);
+        solve_tri(&s, grad);
+        memcpy(out, ys, n * sizeof *out);
+        for (int64_t j = 0; j < w; j++) {
+            const int64_t box = rows[j] - 2 * m;
+            const double mu = 2.0 * grad[j] / norm[rows[j]];
+            if (box < 0)
+                slope_rows++;
+            else
+                out[box % n] += box < n ? -mu : mu;
+        }
+        if (!slope_rows) {
+            int64_t i = 0;
+            while (i < n && !(s.free[2 * m + i] && s.free[2 * m + n + i]))
+                i++;
+            for (int64_t l = 0; l < n; l++)
+                out[l] = ys[i < n ? i : 0];
+        }
+    }
+    /* the dual value at u = R^-1 z scaled into P (and the LP's box): a lower
+       bound */
+    for (int64_t j = 0; j < m; j++)
+        u[j] = dot(m - j, rinv + j * m + j, z + j);
+    double *au = a, big = 0.0, scale = 1.0, value = 0.0;
+    memset(au, 0, n * sizeof *au);
+    for (int64_t r = 0; r < k; r++) {
+        au[r] += inv[r] * u[r];
+        au[r + 1] += (-inv[r + 1] - inv[r]) * u[r];
+        au[r + 2] += inv[r + 1] * u[r];
+    }
+    axpy(n, u[k], c, au);
+    for (int64_t j = 0; j < k; j++)
+        big = fmax(big, fabs(u[j]) + fabs(u[k]));
+    scale = fmax(scale, big / (0.5 * lam));
+    scale = fmax(scale, fabs(u[k]) / (0.25 * lam));
+    for (int64_t i = 0; !squared && i < n; i++)
+        scale = fmax(scale, 2.0 * fabs(au[i]));
+    for (int64_t i = 0; i < n; i++) {
+        au[i] /= scale;
+        value += squared ? au[i] * (2.0 * ys[i] - au[i]) : ys[i] * au[i];
+    }
+    out[n] = squared ? value : 2.0 * value;
+    return done;
+}

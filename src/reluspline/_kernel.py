@@ -1,10 +1,11 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
-of ``descend`` (training), ``flux_draws`` (the flux estimator's normal draws,
-numpy's Philox stream and ziggurat a chunk of words at a time, numpy's own
-routine only at the fast path's rejections, and its per-sample pass,
-``flux_values``) and ``format_table`` (the CSV writer, run with the GIL
-held), which pass arrays as addresses and numpy's and the interpreter's
-routines as function pointers."""
+of ``descend`` (training), ``fit`` (the regularized fits' whole active-set
+solve, in one caller-allocated workspace), ``flux_draws`` (the flux
+estimator's normal draws, numpy's Philox stream and ziggurat a chunk of
+words at a time, numpy's own routine only at the fast path's rejections,
+and its per-sample pass, ``flux_values``) and ``format_table`` (the CSV
+writer, run with the GIL held), which pass arrays as addresses and numpy's
+and the interpreter's routines as function pointers."""
 
 import contextlib
 import ctypes
@@ -65,8 +66,8 @@ def load() -> ctypes.CDLL:
                                errors="replace")
             except (OSError, subprocess.CalledProcessError) as exc:
                 raise RuntimeError(
-                    f"training, the flux estimator and the train2/highdim "
-                    f"CSVs need a C compiler: "
+                    f"training, the regularized fits, the flux estimator and "
+                    f"the train2/highdim CSVs need a C compiler: "
                     f"{' '.join(cmd)} failed to build the kernel in {cache}: "
                     f"{getattr(exc, 'stderr', None) or exc}") from None
             os.replace(f"{tmp}/lib.so", path)
@@ -90,6 +91,8 @@ def load() -> ctypes.CDLL:
     lib.flux_draws.restype = None
     lib.format_table.argtypes = [i64, i64, ptr, ctypes.c_int] + [ptr] * 3
     lib.format_table.restype = i64
+    lib.fit.argtypes = [i64, ptr, ptr, real, ctypes.c_int, ptr, ptr]
+    lib.fit.restype = i64
     return lib
 
 
@@ -127,6 +130,27 @@ def descend(theta, xs, ys, lam, lr, max_steps, stop):
         theta.size // 3, xs.size, xs.ctypes.data, ys.ctypes.data, lam, lr,
         max_steps, stop, *(a.ctypes.data for a in (theta, grad, trace, done)))
     return status, trace, int(done[0]), grad
+
+
+def fit_work(n, squared):
+    """The doubles of ``fit``'s workspace on n points."""
+    m, rows = n - 1, 2 * (n - 1) + (0 if squared else 2 * n)
+    return m * (2 * n + 3 * m + rows + 9) + 3 * rows + 2 * n
+
+
+def fit(xs, ys, lam, squared):
+    """``fit`` on points (xs, ys), xs increasing, at least two: the fitted
+    values, a lower bound on the optimum and the active-set passes."""
+    xs = np.ascontiguousarray(xs, dtype=float)
+    ys = np.ascontiguousarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+        raise ValueError("xs and ys must be vectors of one length, at least 2")
+    work, out = np.empty(fit_work(xs.size, squared)), np.empty(xs.size + 1)
+    passes = load().fit(xs.size, xs.ctypes.data, ys.ctypes.data, lam,
+                        bool(squared), work.ctypes.data, out.ctypes.data)
+    if passes < 0:
+        raise RuntimeError("regularized fit did not converge")
+    return out[:-1], float(out[-1]), passes
 
 
 def write_csv(path: str, header, table, numbered: bool = False):

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure or
 a result that is not a finite number, 3 numerical divergence.  ``train2``
 and ``highdim`` need a C compiler: they train, estimate the flux or write
-CSVs in C (see ``_kernel``).
+CSVs in C (see ``_kernel``).  ``interp`` interpolates in numpy and, like the
+other commands, needs none; ``spline.regularized_fit``, which no command
+calls, needs one.
 """
 
 from __future__ import annotations

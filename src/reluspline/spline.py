@@ -4,8 +4,9 @@ Among all functions interpolating a dataset, the one of least representation
 cost is the linear spline through the points, with the two unbounded end
 slopes chosen to minimize max(total slope variation, |l0 + lN|).  The
 regularized variant trades data fit against that same cost.  It is a convex
-program in the fitted values, solved exactly by a numpy active-set method on
-its dual, and it returns its duality gap and iteration count.
+program in the fitted values, solved exactly by an active-set method on its
+dual, in C (``_kernel``), and it returns its duality gap and iteration count;
+it needs a C compiler, which interpolation does not.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import _kernel
 from ._value import Value
 from .pwl import PwlFunction
 
@@ -191,141 +193,14 @@ def min_norm_interpolant(d: Dataset) -> InterpolationResult:
     return InterpolationResult(_build_spline(d.xs, d.ys, l0, ln), value)
 
 
-def _slope_operators(xs):
-    """(n-2) x n slope-jump matrix D and row c of the fitted values yhat.
-
-    T = |D yhat|_1 is the variation of the interior secant slopes and
-    sigma = c . yhat is the first plus the last secant slope.
-    """
-    inv = 1.0 / np.diff(xs)
-    i = np.arange(inv.size)
-    secant = np.zeros((inv.size, inv.size + 1))
-    secant[i, i], secant[i, i + 1] = -inv, inv
-    return np.diff(secant, axis=0), secant[0] + secant[-1]
-
-
 def _fit(xs, ys, lam, squared):
     """Exact regularized fit; returns yhat, a dual lower bound, iterations.
 
-    With A = [D; c], cost(yhat) is the largest v . A yhat over the polytope
-    P: |v_j| + |v_c| <= 1, |v_c| <= 1/2.  So with u = (lam/2) v the squared
-    loss has the dual min |y - A^T u|^2 over u in (lam/2) P, with yhat =
-    y - A^T u, and the absolute loss the LP max 2 y . A^T u over the same u
-    with |2 A^T u| <= 1, whose multipliers on those rows are y - yhat.  With
-    A^T = QR and z = R u, the first is the projection of z0 = Q^T y onto a
-    polytope in z and the second an LP over it; z is well scaled where u is
-    not, since A differences the secant slopes.  One primal active-set method
-    solves both.  Its working set keeps an orthonormal basis of its rows and
-    the inverse of their triangle, each LP pass puts z back on those rows,
-    and a drop follows Bland's rule.  A solve fixes the sign of v_c, which
-    makes the polytope simple; when the multipliers show that the other sign
-    does better, it continues there once.
+    One call of the C kernel's ``fit`` (see ``_kernel.c``): a primal
+    active-set method on the dual, a projection for squared loss and an LP
+    for absolute loss, in the well-scaled coordinates z = R u of A^T = QR.
     """
-    a = np.vstack(_slope_operators(xs))
-    m, n = a.shape
-    k = m - 1
-    q, r = np.linalg.qr(a.T)
-    rit = np.linalg.inv(r).T
-    z0 = q.T @ ys
-
-    def rows(sign):
-        """Unit columns in z, bounds and norms of the rows v_c +- v_j <= 1,
-        v_c <= 1/2 and -v_c <= 0, v_c read as sign v_c; then +-2 A^T u <= 1."""
-        rc = sign * rit[:, k:]
-        t = np.hstack([rit[:, :k] + rc, rc - rit[:, :k], rc, -rc]
-                      + ([] if squared else [2.0 * q.T, -2.0 * q.T]))
-        h = np.concatenate([np.full(2 * k, 0.5 * lam), [0.25 * lam, 0.0],
-                            np.ones(0 if squared else 2 * n)])
-        norm = np.linalg.norm(t, axis=0)
-        return t / norm, h / norm, norm
-
-    def factor():
-        """Basis and inverse triangle of the working rows, from scratch."""
-        w = len(work)
-        basis[:, :w], tri = np.linalg.qr(t[:, work])
-        rinv[:w, :w] = np.linalg.inv(tri)
-        return basis[:, :w], rinv[:w, :w]
-
-    t, h, norm = rows(1.0)
-    z, work, free = np.zeros(m), [], np.ones(h.size, bool)
-    basis, rinv = np.zeros((m, m)), np.zeros((m, m))
-    stationary = flipped = False
-    for iterations in range(1, 10 * h.size):
-        w = len(work)
-        b, ri = basis[:, :w], rinv[:w, :w]
-        if not squared:  # long LP steps drift off the working rows
-            z += b @ (ri.T @ (h[work] - z @ t[:, work]))
-        grad = z - z0 if squared else -2.0 * z0
-        proj = b.T @ grad
-        step = b @ proj - grad
-        # a step or a rate at rounding level is zero
-        size = math.sqrt(step @ step)
-        if not stationary and w < m and size > 1e-12 * math.sqrt(grad @ grad):
-            rate = step @ t
-            hit = free & (rate > 1e-9 * size)
-            ratio = np.full(h.size, np.inf)
-            ratio[hit] = np.maximum(h - z @ t, 0.0)[hit] / rate[hit]
-            i = int(ratio.argmin())
-            if ratio[i] < (1.0 if squared else np.inf):
-                z += ratio[i] * step
-                # Gram-Schmidt, twice, onto the working basis
-                s = b.T @ t[:, i]
-                s += b.T @ (t[:, i] - b @ s)
-                col = t[:, i] - b @ s
-                rho = math.sqrt(col @ col)
-                basis[:, w] = col / rho
-                rinv[:w, w], rinv[w, :w] = -(ri @ s) / rho, 0.0
-                rinv[w, w] = 1.0 / rho
-                work.append(i)
-                free[i] = False
-                continue
-            if squared:
-                z, stationary = z + step, True
-                continue
-        stationary = False
-        mult = -ri @ proj
-        if mult.size and mult.min() < 0.0:
-            # Bland's rule: of the negative multipliers, the least row
-            drop = np.where(mult < 0.0, work, h.size).argmin()
-            free[work.pop(int(drop))] = True
-            factor()
-            continue
-        # optimal with v_c of one sign; at v_c = 0 the other sign is better
-        # unless the bound's multiplier is at most twice the slope rows'
-        mu, rows_in = mult / norm[work], np.array(work)
-        if (not flipped and 2 * k + 1 in work and
-                mu[rows_in == 2 * k + 1][0] > 2 * mu[rows_in < 2 * k].sum()):
-            flipped = True
-            t, h, norm = rows(-1.0)
-            factor()
-            continue
-        break
-    else:
-        raise RuntimeError("regularized fit did not converge")
-    # z exactly on the working rows, plus the part of z0 (squared loss) or
-    # of z (LP) off them; a full working set leaves no such part, so a z of
-    # order lam stays accurate however large y is
-    b, ri = factor()
-    rest = (z0 if squared else z) if len(work) < m else np.zeros(m)
-    z = b @ (ri.T @ h[work]) + rest - b @ (b.T @ rest)
-    if squared:
-        yhat = ys.mean() + q @ (z0 - z)
-    else:
-        mu = 2.0 * (ri @ (b.T @ z0)) / norm[work]
-        box = np.array(work, int) - 2 * k - 2
-        yhat = ys.copy()
-        yhat[box[box >= 0] % n] += np.where(box < n, -mu, mu)[box >= 0]
-        if box.min(initial=0) >= 0:
-            # no slope row: A yhat = 0, so yhat is the y of a point off the box
-            yhat[:] = ys[(free[-2 * n:-n] & free[-n:]).argmax()]
-    # the dual value at u scaled into P (and the LP's box): a lower bound
-    u = rit.T @ z
-    au = a.T @ u
-    au /= max(1.0, (np.abs(u[:k]) + abs(u[k])).max(initial=0.0) / (0.5 * lam),
-              abs(u[k]) / (0.25 * lam),
-              0.0 if squared else 2.0 * np.abs(au).max())
-    dual = au @ (2.0 * ys - au) if squared else 2.0 * (ys @ au)
-    return yhat, float(dual), iterations
+    return _kernel.fit(xs, ys, lam, squared)
 
 
 def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:

@@ -1,8 +1,7 @@
 """Test-session settings, applied before any test module imports numpy.
 
-BLAS runs on one thread, as in CI: the fit's products with its constraint
-matrix at n = 200 are large enough for OpenBLAS to thread, and a threaded
-BLAS on a busy core slows those tests many times over.
+BLAS runs on one thread, as in CI, so that a threaded BLAS on a busy core
+cannot slow the tests' larger products many times over.
 """
 
 import os

@@ -549,6 +549,17 @@ def raw_flux_draws(lib, n, d, w, t, sm, seed):
     return tuple(a.tobytes() for a in (tables, g, vals, state))
 
 
+def raw_fit(lib, xs, ys, lam, squared, n=None):
+    """One ``fit`` call of a kernel library on the first n points (all by
+    default): the passes and the bytes of the fitted values and the bound."""
+    xs, ys = (np.array(a, dtype=float) for a in (xs, ys))
+    n = len(xs) if n is None else n
+    work, out = np.empty(_kernel.fit_work(n, squared)), np.empty(n + 1)
+    passes = lib.fit(n, xs.ctypes.data, ys.ctypes.data, lam, squared,
+                     work.ctypes.data, out.ctypes.data)
+    return passes, out.tobytes()
+
+
 def bits(run):
     """A run's status and the bytes of its arrays, for exact comparison."""
     return (run[0],) + tuple(np.asarray(a, float).tobytes() for a in run[1:])
@@ -654,15 +665,19 @@ class TestKernelBuild:
         monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
             "no-such-cc -pipe" if name == "CC" else real(name)))
         cache = str(fresh_kernel / "cache" / "reluspline")
-        # training, the flux estimator, and the CSV writer of train2 and
-        # highdim build the library
+        # training, the regularized fits, the flux estimator, and the CSV
+        # writer of train2 and highdim build the library
+        d = Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
         for build in (train_briefly, lambda: laplacian_flux_estimate(
                 AtomMeasureDD((((1.0, 0.0), 0.0, 1.0),), 0.0, 2), 10.0, 10),
                 lambda: _kernel.write_csv(str(fresh_kernel / "t.csv"),
-                                          ["a", "b", "c"], np.zeros((1, 3)))):
+                                          ["a", "b", "c"], np.zeros((1, 3))),
+                lambda: spline.regularized_fit(d, "squared", 0.1),
+                lambda: spline.regularized_fit(d, "absolute", 0.1)):
             with pytest.raises(RuntimeError, match=(
-                    "training, the flux estimator and the train2/highdim CSVs "
-                    "need a C compiler: no-such-cc -pipe")) as err:
+                    "training, the regularized fits, the flux estimator and "
+                    "the train2/highdim CSVs need a C compiler: "
+                    "no-such-cc -pipe")) as err:
                 build()
             assert cache in str(err.value)
             assert self.libraries(cache) == []
@@ -684,6 +699,8 @@ class TestKernelBuild:
         plain.descend.argtypes = loaded.descend.argtypes
         plain.flux_values.argtypes = loaded.flux_values.argtypes
         plain.flux_draws.argtypes = loaded.flux_draws.argtypes
+        plain.fit.argtypes = loaded.fit.argtypes
+        plain.fit.restype = loaded.fit.restype
         rng = np.random.default_rng(8)
         for n, d, k in [(1, 2, 1), (255, 2, 5), (256, 3, 0), (257, 7, 33),
                         (4096, 5, 20)]:
@@ -706,6 +723,15 @@ class TestKernelBuild:
             run = raw_descend(loaded, *args)
             assert (run[0], len(run[1])) == (status, steps)
             assert bits(raw_descend(plain, *args)) == bits(run)
+        # the fit's passes and Gram-Schmidt run in the clones: the fitted
+        # values, the bound and the pass count agree
+        for n in (2, 3, 12, 200):
+            xs = np.sort(rng.uniform(-5.0, 5.0, n))
+            ys = rng.uniform(-5.0, 5.0, n)
+            for squared in (True, False):
+                run = raw_fit(loaded, xs, ys, 0.3, squared)
+                assert run[0] >= 1
+                assert raw_fit(plain, xs, ys, 0.3, squared) == run
 
     def test_build_removes_stale_libraries(self, fresh_kernel):
         # another revision's library past the age limit goes; a fresh one,

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reluspline import pwl, repcost, spline
+from reluspline import _kernel, pwl, repcost, spline
 from reluspline.pwl import pwl_eval
 from reluspline.spline import Dataset
 
@@ -650,6 +650,33 @@ class TestRegularizedFit:
             else:
                 assert obj == pytest.approx(lp, rel=1e-10)
             assert 0.0 <= res.gap <= 1e-9
+
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_reads_no_point_past_n(self, loss):
+        # the kernel reads only the first n points: a NaN tail changes no bit
+        # of the fitted values, the bound or the pass count
+        from test_net2 import raw_fit
+
+        rng = np.random.default_rng(12)
+        xs, ys = np.sort(rng.uniform(-5, 5, 12)), rng.uniform(-5, 5, 12)
+        lib, tail = _kernel.load(), np.full(7, np.nan)
+        padded = raw_fit(lib, np.append(xs, tail), np.append(ys, tail), 0.3,
+                         loss == "squared", n=12)
+        assert padded == raw_fit(lib, xs, ys, 0.3, loss == "squared")
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+    def test_certificate_never_understates_at_spread_gaps(self, eps):
+        # gaps of 1 and eps between the x: the fit loses accuracy as eps
+        # shrinks, but the reported gap still bounds its objective's excess
+        # over HiGHS's optimum, relative to the objective as the gap is, up
+        # to rounding
+        d = Dataset(((0.0, 0.0), (1.0, 1.0), (1.0 + eps, 0.0), (2.0, 1.0)))
+        res = spline.regularized_fit(d, "absolute", 1.0)
+        obj = fit_objective(d, "absolute", 1.0, res)
+        excess = (obj - absolute_lp_optimum(d, 1.0)) / obj
+        assert res.gap >= excess - 4 * np.finfo(float).eps
+        if eps == 1e-6:
+            assert excess <= 1e-9
 
     def test_squared_matches_pattern_oracle(self):
         # the solver is at most 1e-12 relative above the enumerated optimum,
