@@ -2,23 +2,26 @@
 
    theta = [b1 | w1 | w2 | b2] (k units) is updated in place.  Step t writes
    trace row t, (loss + lam * cost, loss, cost) at its iterate, and grad, laid
-   out as theta, the objective's gradient with ReLU'(0) = 0.  Points run in
-   blocks of B, copied into lane arrays, x and then the residual from b2 - y,
-   padded with zeros to a whole number of 4-double vectors (v4); pad lanes
-   are computed and never read.  The residual pass runs units outer and
-   vectors of 4 points inner, so each lane adds units 0..k-1 in order.  The
-   gradient pass runs vectors of 4 units outer, their gb1, gw1 and gw2 sums
-   held in three vectors while the block's points run inner in order; the
-   k mod 4 units left run the same loop one at a time.  Across lanes nothing
-   is summed: the loss, grad[3k] and the cost run one element at a time in
-   index order, the cost in the first block's two unit loops (w1^2 in the
-   residual pass, w2^2 in the gradient pass), where it runs behind the
+   out as theta, the objective's gradient with ReLU'(0) = 0.  Its one body,
+   STEP, runs on vectors V of W doubles.  Points run in blocks of B, copied
+   into lane arrays, x and then the residual from b2 - y, padded with zeros to
+   a whole number of vectors; pad lanes are computed and never read.  The
+   residual pass runs units outer and vectors of W points inner, so each lane
+   adds units 0..k-1 in order.  The gradient pass runs groups of W units
+   outer, their gb1, gw1 and gw2 sums held in three vectors while the block's
+   points run inner in order; the last k mod W units run as one more group
+   from tail, which holds their b1 and w1, 0 past k, and their sums.  Across
+   lanes nothing is summed: the loss, grad[3k] and the cost run one element at
+   a time in index order, the cost in the first block's two unit loops (w1^2
+   in the residual pass, w2^2 in the gradient pass), where it runs behind the
    vector work; n = 0 runs one empty block for it.  No sum changes order, so
-   the plain body (a v4 op is two SSE2 ops on x86-64, narrower or scalar ops
-   elsewhere) and the AVX2 clone that the loader picks on x86-64 glibc round
-   as the scalar loops do.  Returns 2 at the first non-finite objective,
-   before any stop test; 1 once stop > 0 and |grad| <= stop, leaving theta at
-   that iterate; else 0 after max_steps steps.  *done counts rows written. */
+   every body rounds as the scalar loops do: W = 2 in the plain build (one
+   SSE2 or NEON register), and on x86-64 glibc W = 4 for AVX2 and W = 8 for
+   AVX-512F; descend runs the widest the CPU has (descend_lanes).  Each body
+   is compiled for its own target alone, as wider vectors lower their compares
+   one element at a time.  Returns 2 at the first non-finite objective, before
+   any stop test; 1 once stop > 0 and |grad| <= stop, leaving theta at that
+   iterate; else 0 after max_steps steps.  *done counts rows written. */
 
 #include <math.h>
 #include <stdint.h>
@@ -27,98 +30,134 @@
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && defined(__GLIBC__)
 #define DISPATCH __attribute__((target_clones("avx2", "default")))
+#define WIDE 1
 #else
 #define DISPATCH
+#define WIDE 0
 #endif
 enum { B = 32 };  /* data points per block, a whole number of vectors */
 
 typedef double v4 __attribute__((vector_size(32)));
 typedef int64_t v4i __attribute__((vector_size(32)));
 /* macros, not functions: a vector argument changes the ABI without AVX.
-   memcpy loads and stores at any alignment; LIVE(a, v) is a > 0 ? v : 0. */
-#define LOAD(v, p) memcpy(&(v), (p), sizeof(v4))
-#define STORE(p, v) memcpy((p), &(v), sizeof(v4))
-#define LIVE(a, v) ((v4)((v4i)((a) > 0.0) & (v4i)(v)))
+   memcpy loads and stores at any alignment; LIVE(a, v) is a > 0 ? v : 0 in
+   the vectors V, with VI their integer vectors. */
+#define LOAD(v, p) memcpy(&(v), (p), sizeof(v))
+#define STORE(p, v) memcpy((p), &(v), sizeof(v))
+#define LIVE(a, v) ((V)((VI)((a) > 0.0) & (VI)(v)))
+#define PARAMS int64_t k, int64_t n, const double *xs, const double *ys, \
+    double lam, double lr, int64_t max_steps, double stop, double *theta, \
+    double *grad, double *trace, int64_t *done
 
-DISPATCH
-int descend(int64_t k, int64_t n, const double *xs, const double *ys,
-            double lam, double lr, int64_t max_steps, double stop,
-            double *theta, double *grad, double *trace, int64_t *done)
+#define STEP(W, name, target)                                                 \
+target static int name(PARAMS)                                                \
+{                                                                             \
+    typedef double V __attribute__((vector_size(8 * W)));                     \
+    typedef int64_t VI __attribute__((vector_size(8 * W)));                   \
+    const int64_t size = 3 * k + 1, kw = k - k % W;                           \
+    const double *b1 = theta, *w1 = theta + k, *w2 = theta + 2 * k;           \
+    double *gb1 = grad, *gw1 = grad + k, *gw2 = grad + 2 * k, xl[B], rl[B];   \
+    double tail[5][W] = {{0}};  /* b1, w1, gb1, gw1, gw2 from unit kw */      \
+    for (int64_t t = 0; t < max_steps; t++) {                                 \
+        const double b2 = theta[3 * k];                                       \
+        double loss = 0.0, cost = 0.0, *row = trace + 3 * t;                  \
+        for (int64_t l = 0; kw < k && l < W; l++)                             \
+            if (kw + l < k)                                                   \
+                tail[0][l] = b1[kw + l], tail[1][l] = w1[kw + l],             \
+                tail[2][l] = tail[3][l] = tail[4][l] = 0.0;                   \
+        memset(grad, 0, size * sizeof *grad);                                 \
+        for (int64_t j0 = 0; j0 == 0 || j0 < n; j0 += B) {                    \
+            const int64_t m = n - j0 < B ? n - j0 : B,                        \
+                          mv = (m + W - 1) / W * W;                           \
+            for (int64_t j = 0; j < mv; j++) {                                \
+                xl[j] = j < m ? xs[j0 + j] : 0.0;                             \
+                rl[j] = j < m ? b2 - ys[j0 + j] : 0.0;                        \
+            }                                                                 \
+            for (int64_t i = 0; i < k; i++) {                                 \
+                for (int64_t j = 0; j < mv; j += W) {                         \
+                    V x, r, a;                                                \
+                    LOAD(x, xl + j), LOAD(r, rl + j);                         \
+                    a = w1[i] * x + b1[i];                                    \
+                    r += w2[i] * LIVE(a, a);                                  \
+                    STORE(rl + j, r);                                         \
+                }                                                             \
+                if (j0 == 0)                                                  \
+                    cost += w1[i] * w1[i];                                    \
+            }                                                                 \
+            for (int64_t j = 0; j < m; j++) {                                 \
+                loss += rl[j] * rl[j];                                        \
+                grad[3 * k] += rl[j] *= 2.0;                                  \
+            }                                                                 \
+            for (int64_t i = 0; i < k; i += W) {                              \
+                const int whole = i < kw;  /* else its lanes are in tail */   \
+                const int64_t s = whole ? k : W;                              \
+                const double *p = whole ? theta + i : tail[0];                \
+                double *g = whole ? grad + i : tail[2];                       \
+                V d, c, g0, g1, g2;                                           \
+                LOAD(d, p), LOAD(c, p + s);                                   \
+                LOAD(g0, g), LOAD(g1, g + s), LOAD(g2, g + 2 * s);            \
+                for (int64_t j = 0; j < m; j++) {                             \
+                    /* rl[j] - 0 is rl[j] in every lane, -0 included */       \
+                    const V a = c * xl[j] + d, live = LIVE(a, rl[j] - (V){0});\
+                    g0 += live, g1 += live * xl[j], g2 += live * a;           \
+                }                                                             \
+                STORE(g, g0), STORE(g + s, g1), STORE(g + 2 * s, g2);         \
+                for (int64_t u = i; j0 == 0 && u < i + W && u < k; u++)       \
+                    cost += w2[u] * w2[u];                                    \
+            }                                                                 \
+        }                                                                     \
+        for (int64_t l = 0; kw < k && l < W; l++)                             \
+            if (kw + l < k)                                                   \
+                gb1[kw + l] = tail[2][l], gw1[kw + l] = tail[3][l],           \
+                gw2[kw + l] = tail[4][l];                                     \
+        row[1] = loss;                                                        \
+        row[2] = 0.5 * cost;                                                  \
+        row[0] = loss + lam * row[2];                                         \
+        *done = t + 1;                                                        \
+        if (!isfinite(row[0]))                                                \
+            return 2;                                                         \
+        for (int64_t i = 0; i < k; i++) {                                     \
+            gb1[i] *= w2[i];                                                  \
+            gw1[i] = w2[i] * gw1[i] + lam * w1[i];                            \
+            gw2[i] += lam * w2[i];                                            \
+        }                                                                     \
+        double norm2 = 0.0;                                                   \
+        for (int64_t i = 0; stop > 0.0 && i < size; i++)                      \
+            norm2 += grad[i] * grad[i];                                       \
+        if (stop > 0.0 && sqrt(norm2) <= stop)                                \
+            return 1;                                                         \
+        for (int64_t i = 0; i < size; i++)                                    \
+            theta[i] -= lr * grad[i];                                         \
+    }                                                                         \
+    *done = max_steps;                                                        \
+    return 0;                                                                 \
+}
+
+STEP(2, descend2, )
+#if WIDE
+STEP(4, descend4, __attribute__((target("avx2"))))
+STEP(8, descend8, __attribute__((target("avx512f"))))
+#endif
+
+/* the lanes of the widest body of descend that this CPU runs */
+int descend_lanes(void)
 {
-    const int64_t size = 3 * k + 1, k4 = k - k % 4;
-    const double *b1 = theta, *w1 = theta + k, *w2 = theta + 2 * k;
-    double *gb1 = grad, *gw1 = grad + k, *gw2 = grad + 2 * k, xl[B], rl[B];
-    for (int64_t t = 0; t < max_steps; t++) {
-        const double b2 = theta[3 * k];
-        double loss = 0.0, cost = 0.0, *row = trace + 3 * t;
-        memset(grad, 0, size * sizeof *grad);
-        for (int64_t j0 = 0; j0 == 0 || j0 < n; j0 += B) {
-            const int64_t m = n - j0 < B ? n - j0 : B, mv = (m + 3) / 4 * 4;
-            for (int64_t j = 0; j < mv; j++) {
-                xl[j] = j < m ? xs[j0 + j] : 0.0;
-                rl[j] = j < m ? b2 - ys[j0 + j] : 0.0;
-            }
-            for (int64_t i = 0; i < k; i++) {
-                for (int64_t j = 0; j < mv; j += 4) {
-                    v4 x, r, a;
-                    LOAD(x, xl + j), LOAD(r, rl + j);
-                    a = w1[i] * x + b1[i];
-                    r += w2[i] * LIVE(a, a);
-                    STORE(rl + j, r);
-                }
-                if (j0 == 0)
-                    cost += w1[i] * w1[i];
-            }
-            for (int64_t j = 0; j < m; j++) {
-                loss += rl[j] * rl[j];
-                grad[3 * k] += rl[j] *= 2.0;
-            }
-            for (int64_t i = 0; i < k4; i += 4) {
-                v4 c, d, g0, g1, g2;
-                LOAD(c, w1 + i), LOAD(d, b1 + i);
-                LOAD(g0, gb1 + i), LOAD(g1, gw1 + i), LOAD(g2, gw2 + i);
-                for (int64_t j = 0; j < m; j++) {
-                    const v4 r2 = {rl[j], rl[j], rl[j], rl[j]};
-                    const v4 a = c * xl[j] + d, live = LIVE(a, r2);
-                    g0 += live, g1 += live * xl[j], g2 += live * a;
-                }
-                STORE(gb1 + i, g0), STORE(gw1 + i, g1), STORE(gw2 + i, g2);
-                for (int64_t u = i; j0 == 0 && u < i + 4; u++)
-                    cost += w2[u] * w2[u];
-            }
-            for (int64_t i = k4; i < k; i++) {
-                for (int64_t j = 0; j < m; j++) {
-                    const double a = w1[i] * xl[j] + b1[i];
-                    const double live_r2 = a > 0.0 ? rl[j] : 0.0;
-                    gb1[i] += live_r2;
-                    gw1[i] += live_r2 * xl[j];
-                    gw2[i] += live_r2 * a;
-                }
-                if (j0 == 0)
-                    cost += w2[i] * w2[i];
-            }
-        }
-        row[1] = loss;
-        row[2] = 0.5 * cost;
-        row[0] = loss + lam * row[2];
-        *done = t + 1;
-        if (!isfinite(row[0]))
-            return 2;
-        for (int64_t i = 0; i < k; i++) {
-            gb1[i] *= w2[i];
-            gw1[i] = w2[i] * gw1[i] + lam * w1[i];
-            gw2[i] += lam * w2[i];
-        }
-        double norm2 = 0.0;
-        for (int64_t i = 0; stop > 0.0 && i < size; i++)
-            norm2 += grad[i] * grad[i];
-        if (stop > 0.0 && sqrt(norm2) <= stop)
-            return 1;
-        for (int64_t i = 0; i < size; i++)
-            theta[i] -= lr * grad[i];
-    }
-    *done = max_steps;
-    return 0;
+#if WIDE
+    return __builtin_cpu_supports("avx512f") ? 8
+           : __builtin_cpu_supports("avx2") ? 4 : 2;
+#endif
+    return 2;
+}
+
+int descend(PARAMS)
+{
+    int (*body)(PARAMS) = descend2;
+#if WIDE
+    const int w = descend_lanes();
+    body = w == 8 ? descend8 : w == 4 ? descend4 : descend2;
+#endif
+    return body(k, n, xs, ys, lam, lr, max_steps, stop, theta, grad, trace,
+                done);
 }
 
 /* flux_values: the per-sample pass of the Laplacian-flux estimator.
@@ -487,6 +526,7 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
    the working set, where the time goes, have AVX2 clones, into which dot
    and axpy are inlined; dot sums in a fixed order, so no bit depends on the
    body that runs. */
+
 #define INLINE static inline __attribute__((always_inline))
 
 /* a . b: two 4-lane sums, added lanewise, then pairwise, then the tail */

@@ -1,6 +1,7 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
-of ``descend`` (training), ``fit`` (the regularized fits' whole active-set
-solve, in one caller-allocated workspace), ``flux_draws`` (the flux
+of ``descend`` (training, in the widest body the CPU runs, which ``lanes``
+reports), ``fit`` (the regularized fits' whole active-set solve, in one
+caller-allocated workspace), ``flux_draws`` (the flux
 estimator's normal draws, numpy's Philox stream and ziggurat a chunk of
 words at a time, numpy's own routine only at the fast path's rejections,
 and its per-sample pass, ``flux_values``) and ``format_table`` (the CSV
@@ -85,6 +86,8 @@ def load() -> ctypes.CDLL:
     i64, real, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.descend.argtypes = [i64, i64, ptr, ptr, real, real, i64, real] + [ptr] * 4
     lib.descend.restype = ctypes.c_int
+    lib.descend_lanes.argtypes = []
+    lib.descend_lanes.restype = ctypes.c_int
     lib.flux_values.argtypes = [i64] * 3 + [ptr] * 6
     lib.flux_values.restype = None
     lib.flux_draws.argtypes = [i64] * 3 + [ptr] * 9
@@ -107,6 +110,12 @@ def ziggurat():
     tables = np.zeros(512, np.uint64)
     load().flux_draws(0, 0, 0, None, tables.ctypes.data, normal, *[None] * 6)
     return tables, normal
+
+
+def lanes() -> int:
+    """The doubles per vector of the body of ``descend`` that this CPU runs:
+    8 with AVX-512F, 4 with AVX2, else 2."""
+    return load().descend_lanes()
 
 
 def descend(theta, xs, ys, lam, lr, max_steps, stop):

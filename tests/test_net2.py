@@ -1,5 +1,6 @@
 import ctypes
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -574,11 +575,12 @@ with open(KERNEL_SOURCE) as fh:
 class TestKernelMatchesScalarOrder:
     """The C kernel against its scalar loops in Python floats, bit for bit.
 
-    The kernel sums the residuals of 4 points, and the gradient entries of 4
-    units, side by side in vector lanes; each lane still adds its units, or
-    its points, in index order, so every bit matches.  Data sizes sit at the
-    ends of blocks and of point vectors (n = 0 runs no point), widths at the
-    ends of unit vectors, and n = 10, k = 100 is the benchmark's shape.
+    The kernel sums the residuals of W points, and the gradient entries of W
+    units, side by side in vector lanes (W = 2, 4 or 8, ``_kernel.lanes()``);
+    each lane still adds its units, or its points, in index order, so every
+    bit matches.  Data sizes sit at the ends of blocks and of point vectors
+    (n = 0 runs no point), widths at the ends of unit vectors of every W, and
+    n = 10, k = 100 is the benchmark's shape.
     """
 
     def run_both(self, n, k, lr, stop=0.0, steps=100):
@@ -590,7 +592,8 @@ class TestKernelMatchesScalarOrder:
         assert bits(c) == bits(scalar_descend(theta, *args))
         return c
 
-    @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 20, 37, 100])
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 20,
+                                   37, 100])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10, BLOCK - 1, BLOCK,
                                    BLOCK + 1, 2 * BLOCK + 5])
     def test_trace_theta_and_gradient(self, n, k):
@@ -631,6 +634,26 @@ def train_briefly():
     d = Dataset(((0.0, 1.0), (1.0, 3.0)))
     cfg = TrainConfig(max_steps=3)
     return train(net2.init(2, cfg), d, cfg)
+
+
+# descend's bodies: their lanes and whether the build keeps its target clones
+BODIES = {"plain": (2, False), "avx2": (4, True), "avx512f": (8, True)}
+
+
+def runnable(lanes):
+    """Whether this CPU runs, and this platform builds, descend's body of
+    these lanes: the wide bodies are x86-64 glibc GCC builds, as the target
+    clones are, run where numpy finds AVX2 or AVX-512F."""
+    if lanes == 2:
+        return True
+    cc = sysconfig.get_config_var("CC") or "cc"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    return (platform.machine() == "x86_64" and "clang" not in cc
+            and platform.libc_ver()[0] == "glibc"
+            and cpu.get({4: "AVX2", 8: "AVX512F"}[lanes], False))
 
 
 class TestKernelBuild:
@@ -683,33 +706,49 @@ class TestKernelBuild:
             assert self.libraries(cache) == []
         assert not (fresh_kernel / "t.csv").exists()
 
-    def test_plain_build_matches_loaded(self, tmp_path):
-        # the source without its AVX2 clone, built alone, gives the bits of
-        # the library the loader chose
+    def test_lanes_are_the_widest_the_cpu_runs(self):
+        # a dispatcher that fell back to a narrower body would pass every bit
+        # test and lose its speed
+        assert _kernel.lanes() == max(lanes for lanes, _ in BODIES.values()
+                                      if runnable(lanes))
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_each_body_matches_loaded(self, tmp_path, body):
+        # the source with descend's dispatch fixed to one body, and for the
+        # plain body without its target clones, built alone, gives the bits
+        # of the library the loader chose
+        lanes, clones = BODIES[body]
+        if not runnable(lanes):
+            pytest.skip(f"this CPU or build has no {body} body")
         attr = '__attribute__((target_clones("avx2", "default")))'
         with open(KERNEL_SOURCE) as fh:
             source = fh.read()
         assert source.count(attr) == 1
-        (tmp_path / "plain.c").write_text(source.replace(attr, ""))
+        source, count = re.subn(r"return __builtin_cpu_supports\(.*?;",
+                                f"return {lanes};", source, flags=re.S)
+        assert count == 1
+        (tmp_path / "body.c").write_text(
+            source if clones else source.replace(attr, ""))
         cc = (sysconfig.get_config_var("CC") or "cc").split()
-        subprocess.run([*cc, *_kernel.CFLAGS, str(tmp_path / "plain.c"), "-o",
-                        str(tmp_path / "plain.so")], check=True)
+        subprocess.run([*cc, *_kernel.CFLAGS, str(tmp_path / "body.c"), "-o",
+                        str(tmp_path / "body.so")], check=True)
         loaded = _kernel.load()
-        plain = ctypes.CDLL(str(tmp_path / "plain.so"))
-        plain.descend.argtypes = loaded.descend.argtypes
-        plain.flux_values.argtypes = loaded.flux_values.argtypes
-        plain.flux_draws.argtypes = loaded.flux_draws.argtypes
-        plain.fit.argtypes = loaded.fit.argtypes
-        plain.fit.restype = loaded.fit.restype
+        built = ctypes.CDLL(str(tmp_path / "body.so"))
+        assert built.descend_lanes() == lanes
+        built.descend.argtypes = loaded.descend.argtypes
+        built.flux_values.argtypes = loaded.flux_values.argtypes
+        built.flux_draws.argtypes = loaded.flux_draws.argtypes
+        built.fit.argtypes = loaded.fit.argtypes
+        built.fit.restype = loaded.fit.restype
         rng = np.random.default_rng(8)
         for n, d, k in [(1, 2, 1), (255, 2, 5), (256, 3, 0), (257, 7, 33),
                         (4096, 5, 20)]:
             inputs = (rng.standard_normal((n, d)), rng.standard_normal((k, d)),
                       rng.uniform(-1.0, 1.0, k), rng.uniform(-2.0, 2.0, k))
-            assert (raw_flux(plain, *inputs).tobytes()
+            assert (raw_flux(built, *inputs).tobytes()
                     == raw_flux(loaded, *inputs).tobytes())
             draws = [raw_flux_draws(lib, n, d, *inputs[1:], seed=n + k)
-                     for lib in (plain, loaded)]
+                     for lib in (built, loaded)]
             assert draws[0] == draws[1]
         d = figure_set()
         for k, seed, scale, lr, stop, status, steps in [
@@ -722,7 +761,15 @@ class TestKernelBuild:
                     20_000, stop)
             run = raw_descend(loaded, *args)
             assert (run[0], len(run[1])) == (status, steps)
-            assert bits(raw_descend(plain, *args)) == bits(run)
+            assert bits(raw_descend(built, *args)) == bits(run)
+        # widths that end groups of 2, 4 and 8 units with units to spare
+        for k in (1, 3, 7, 9, 17, 37):
+            for n in (0, 10, BLOCK + 1):
+                theta = rng.uniform(-0.5, 0.5, 3 * k + 1)
+                args = (theta, k, rng.uniform(-2, 2, n),
+                        rng.uniform(-1, 1, n), 1e-3, 1e-2, 200)
+                assert (bits(raw_descend(built, *args))
+                        == bits(raw_descend(loaded, *args)))
         # the fit's passes and Gram-Schmidt run in the clones: the fitted
         # values, the bound and the pass count agree
         for n in (2, 3, 12, 200):
@@ -731,7 +778,7 @@ class TestKernelBuild:
             for squared in (True, False):
                 run = raw_fit(loaded, xs, ys, 0.3, squared)
                 assert run[0] >= 1
-                assert raw_fit(plain, xs, ys, 0.3, squared) == run
+                assert raw_fit(built, xs, ys, 0.3, squared) == run
 
     def test_build_removes_stale_libraries(self, fresh_kernel):
         # another revision's library past the age limit goes; a fresh one,
