@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -695,3 +696,51 @@ class TestRegularizedFit:
                 / np.diff(d.xs).min()
             assert obj <= best * (1.0 + 1e-12) + slack
             assert 0.0 <= res.gap <= 1e-9
+
+
+def golden_sets():
+    """The fit golden's data: three seeded sets at each n = 2..12, the
+    tilted set and constant data."""
+    rng = np.random.default_rng(36)
+    sets = [random_dataset(rng, n, n) for n in range(2, 13) for _ in range(3)]
+    sets.append(Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5))))
+    sets.append(Dataset(((-1.0, 2.5), (0.5, 2.5), (2.0, 2.5), (4.0, 2.5))))
+    return sets
+
+
+def result_bytes(res):
+    """Every output of a fit or an interpolant, as bytes."""
+    spl = res.spline
+    return (spl.breakpoints.tobytes() + spl.slopes.tobytes()
+            + np.array([*spl.anchor, res.cost, res.gap]).tobytes()
+            + res.iterations.to_bytes(8, "little"))
+
+
+class TestFitGolden:
+    """Every bit of the fits and interpolants on a fixed grid of inputs,
+    pinned by sha256: the breakpoints, slopes, anchor, cost, gap and
+    passes.  The gap's last bits come from numpy's ``r @ r`` (BLAS)."""
+
+    DIGESTS = {
+        "squared": "4fe42289ceb73db65140868bf9659cf2"
+                   "38f69fe8990f270ece6ff5152a2de677",
+        "absolute": "37ad834b8d63e2939eb1fd40db827f02"
+                    "256a41d6a4391e5b84f271b33a09eeaa",
+        "interpolant": "9d643789feb4003dcb63216b686690a7"
+                       "bdaabac0045ea1dc208397d5d786548f",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_outputs_match_golden(self, kind):
+        sets, h = golden_sets(), hashlib.sha256()
+        if kind == "interpolant":
+            for d in sets:
+                h.update(result_bytes(spline.min_norm_interpolant(d)))
+        else:
+            lams = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
+            cases = [(d, lam) for d in sets[:-2] for lam in lams]
+            cases += [(sets[-2], 1e4), (sets[-2], 1e6)]
+            cases += [(sets[-1], lam) for lam in lams]
+            for d, lam in cases:
+                h.update(result_bytes(spline.regularized_fit(d, kind, lam)))
+        assert h.hexdigest() == self.DIGESTS[kind]
