@@ -501,9 +501,18 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
 
 /* fit: the exact regularized fit behind spline.regularized_fit, on n >= 2
    points with increasing xs: the fitted values yhat that minimize
-   |y - yhat|^2 (squared) or |y - yhat|_1, plus lam cost(yhat), into out[0..n),
-   and a lower bound on that minimum, into out[n].  Returns the active-set
-   passes, or -1 if they did not converge.
+   |y - yhat|^2 (squared) or |y - yhat|_1, plus lam cost(yhat), with y
+   measured from shift = (max + min) / 2, the middle of its range, halved
+   term by term where max + min overflows.  Returns the active-set passes,
+   or -1 if they did not converge.  out holds 3n + 2 doubles, then the
+   workspace; with m = n - 1, and each rounded as numpy rounds the same
+   expression:
+     out[1..n)      the slopes between the points (x, yhat + shift), with
+                    out[0] and out[n] left for the two end slopes;
+     out[n+1..2n)   the secants between the points (x, yhat);
+     out[2n..3n)    the residuals yhat - y;
+     out[3n]        a lower bound on the minimum;
+     out[3n+1]      yhat[0] + shift.
 
    With A = [D; c], D the (n-2) x n slope-jump matrix and c the row of the
    first plus the last secant slope, cost(yhat) is the largest v . A yhat
@@ -521,8 +530,8 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
    when the multipliers show that the other sign does better, it continues
    there once.
 
-   work holds m (2n + 3m + H + 9) + 3H + 2n doubles, for m = n - 1 and H =
-   2m rows, 2m + 2n for the absolute loss.  The passes and the additions to
+   The workspace holds m (2n + 3m + H + 9) + 3H + 3n doubles, for H = 2m
+   rows, 2m + 2n for the absolute loss.  The passes and the additions to
    the working set, where the time goes, have AVX2 clones, into which dot
    and axpy are inlined; dot sums in a fixed order, so no bit depends on the
    body that runs. */
@@ -754,17 +763,26 @@ static void fit_rows(int64_t n, int64_t H, double sign, double lam,
 }
 
 int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
-            int squared, double *work, double *out)
+            int squared, double *out)
 {
     const int64_t m = n - 1, k = m - 1, H = 2 * m + (squared ? 0 : 2 * n);
-    double *q = work, *a = q + n * m, *rinv = a + n * m, *t = rinv + m * m,
-           *basis = t + H * m, *tri = basis + m * m, *h = tri + m * m,
-           *norm = h + H, *z = norm + H, *z0 = z + m, *tau = z0 + m,
-           *u = tau + m, *mult = u + m, *grad = mult + m, *step = grad + m,
-           *v = step + m, *inv = v + m, *c = inv + n;
-    int64_t *rows = (int64_t *)(c + n);
+    double *q = out + 3 * n + 2, *a = q + n * m, *rinv = a + n * m,
+           *t = rinv + m * m, *basis = t + H * m, *tri = basis + m * m,
+           *h = tri + m * m, *norm = h + H, *z = norm + H, *z0 = z + m,
+           *tau = z0 + m, *u = tau + m, *mult = u + m, *grad = mult + m,
+           *step = grad + m, *v = step + m, *inv = v + m, *c = inv + n,
+           *y = c + n, *yhat = out + 2 * n;
+    int64_t *rows = (int64_t *)(y + n);
     active_set s = {m, H, 0, !squared, t, h, z0, z, basis, tri, mult, grad,
                     step, v, rows, (char *)(rows + m)};
+    /* the shift; its halves where max + min overflows */
+    double lo = ys[0], hi = ys[0];
+    for (int64_t i = 1; i < n; i++)
+        lo = ys[i] < lo ? ys[i] : lo, hi = ys[i] > hi ? ys[i] : hi;
+    const double shift = isinf(hi + lo) ? 0.5 * hi + 0.5 * lo
+                                        : 0.5 * (hi + lo);
+    for (int64_t i = 0; i < n; i++)
+        y[i] = ys[i] - shift;
     /* A^T, column r the row r of A: D's rows, then c */
     for (int64_t j = 0; j < m; j++)
         inv[j] = 1.0 / (xs[j + 1] - xs[j]);
@@ -822,7 +840,7 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
         }
     }
     for (int64_t j = 0; j < m; j++)
-        z0[j] = dot(n, q + j * n, ys);
+        z0[j] = dot(n, q + j * n, y);
 
     fit_rows(n, H, 1.0, lam, q, rinv, t, h, norm);
     memset(z, 0, m * sizeof *z);
@@ -872,13 +890,13 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
     if (squared) {
         double mean = 0.0;
         for (int64_t i = 0; i < n; i++)
-            mean += ys[i];
+            mean += y[i];
         mean /= n;
-        memset(out, 0, n * sizeof *out);
+        memset(yhat, 0, n * sizeof *yhat);
         for (int64_t j = 0; j < m; j++)
-            axpy(n, z0[j] - z[j], q + j * n, out);
+            axpy(n, z0[j] - z[j], q + j * n, yhat);
         for (int64_t i = 0; i < n; i++)
-            out[i] += mean;
+            yhat[i] += mean;
     } else {
         /* the box rows' multipliers move y onto yhat; with no slope row in
            the set, A yhat = 0, and yhat is the y of a point off the box */
@@ -886,21 +904,21 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
         for (int64_t j = 0; j < w; j++)
             grad[j] = dot(m, basis + j * m, z0);
         solve_tri(&s, grad);
-        memcpy(out, ys, n * sizeof *out);
+        memcpy(yhat, y, n * sizeof *yhat);
         for (int64_t j = 0; j < w; j++) {
             const int64_t box = rows[j] - 2 * m;
             const double mu = 2.0 * grad[j] / norm[rows[j]];
             if (box < 0)
                 slope_rows++;
             else
-                out[box % n] += box < n ? -mu : mu;
+                yhat[box % n] += box < n ? -mu : mu;
         }
         if (!slope_rows) {
             int64_t i = 0;
             while (i < n && !(s.free[2 * m + i] && s.free[2 * m + n + i]))
                 i++;
             for (int64_t l = 0; l < n; l++)
-                out[l] = ys[i < n ? i : 0];
+                yhat[l] = y[i < n ? i : 0];
         }
     }
     /* the dual value at u = R^-1 z scaled into P (and the LP's box): a lower
@@ -923,8 +941,16 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
         scale = fmax(scale, 2.0 * fabs(au[i]));
     for (int64_t i = 0; i < n; i++) {
         au[i] /= scale;
-        value += squared ? au[i] * (2.0 * ys[i] - au[i]) : ys[i] * au[i];
+        value += squared ? au[i] * (2.0 * y[i] - au[i]) : y[i] * au[i];
     }
-    out[n] = squared ? value : 2.0 * value;
+    out[3 * n] = squared ? value : 2.0 * value;
+    for (int64_t j = 0; j < m; j++) {
+        const double dx = xs[j + 1] - xs[j];
+        out[1 + j] = ((yhat[j + 1] + shift) - (yhat[j] + shift)) / dx;
+        out[n + 1 + j] = (yhat[j + 1] - yhat[j]) / dx;
+    }
+    out[3 * n + 1] = yhat[0] + shift;
+    for (int64_t i = 0; i < n; i++)
+        yhat[i] -= y[i];
     return done;
 }

@@ -1,12 +1,12 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
 of ``descend`` (training, in the widest body the CPU runs, which ``lanes``
-reports), ``fit`` (the regularized fits' whole active-set solve, in one
-caller-allocated workspace), ``flux_draws`` (the flux
-estimator's normal draws, numpy's Philox stream and ziggurat a chunk of
-words at a time, numpy's own routine only at the fast path's rejections,
-and its per-sample pass, ``flux_values``) and ``format_table`` (the CSV
-writer, run with the GIL held), which pass arrays as addresses and numpy's
-and the interpreter's routines as function pointers."""
+reports), ``fit`` (a regularized fit's shift, whole active-set solve,
+secants and residuals, into one caller-allocated buffer), ``flux_draws``
+(the flux estimator's normal draws, numpy's Philox stream and ziggurat a
+chunk of words at a time, numpy's own routine only at the fast path's
+rejections, and its per-sample pass, ``flux_values``) and ``format_table``
+(the CSV writer, run with the GIL held), which pass arrays as addresses and
+numpy's and the interpreter's routines as function pointers."""
 
 import contextlib
 import ctypes
@@ -94,7 +94,7 @@ def load() -> ctypes.CDLL:
     lib.flux_draws.restype = None
     lib.format_table.argtypes = [i64, i64, ptr, ctypes.c_int] + [ptr] * 3
     lib.format_table.restype = i64
-    lib.fit.argtypes = [i64, ptr, ptr, real, ctypes.c_int, ptr, ptr]
+    lib.fit.argtypes = [i64, ptr, ptr, real, ctypes.c_int, ptr]
     lib.fit.restype = i64
     return lib
 
@@ -142,24 +142,22 @@ def descend(theta, xs, ys, lam, lr, max_steps, stop):
 
 
 def fit_work(n, squared):
-    """The doubles of ``fit``'s workspace on n points."""
+    """The doubles of ``fit``'s buffer on n points: its outputs, then its
+    workspace."""
     m, rows = n - 1, 2 * (n - 1) + (0 if squared else 2 * n)
-    return m * (2 * n + 3 * m + rows + 9) + 3 * rows + 2 * n
+    return m * (2 * n + 3 * m + rows + 9) + 3 * rows + 6 * n + 2
 
 
 def fit(xs, ys, lam, squared):
-    """``fit`` on points (xs, ys), xs increasing, at least two: the fitted
-    values, a lower bound on the optimum and the active-set passes."""
-    xs = np.ascontiguousarray(xs, dtype=float)
-    ys = np.ascontiguousarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("xs and ys must be vectors of one length, at least 2")
-    work, out = np.empty(fit_work(xs.size, squared)), np.empty(xs.size + 1)
-    passes = load().fit(xs.size, xs.ctypes.data, ys.ctypes.data, lam,
-                        bool(squared), work.ctypes.data, out.ctypes.data)
+    """``fit`` on a Dataset's xs and ys, n >= 2 points: its buffer, whose
+    first 3n + 2 doubles are the outputs laid out in ``_kernel.c``, and the
+    active-set passes."""
+    buf = np.empty(fit_work(xs.size, squared))
+    passes = load().fit(xs.size, xs.ctypes.data, ys.ctypes.data, lam, squared,
+                        buf.ctypes.data)
     if passes < 0:
         raise RuntimeError("regularized fit did not converge")
-    return out[:-1], float(out[-1]), passes
+    return buf, passes
 
 
 def write_csv(path: str, header, table, numbered: bool = False):

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,18 @@ class PwlFunction(Value):
             raise ValueError("breakpoints must be sorted")
         if not np.isfinite(np.concatenate((bp, sl, anchor))).all():
             raise ValueError("non-finite breakpoint, slope or anchor")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "slopes", sl)
-        object.__setattr__(self, "anchor", anchor)
+        vars(self).update(breakpoints=bp, slopes=sl, anchor=anchor)
+
+    @classmethod
+    def _through(cls, xs, slopes, anchor):
+        """The function on a Dataset's xs, which it shares, with ``slopes``, a
+        fresh array it takes over; only they and the anchor's y are checked."""
+        f, anchor = object.__new__(cls), (float(anchor[0]), float(anchor[1]))
+        if not (np.isfinite(slopes).all() and math.isfinite(anchor[1])):
+            raise ValueError("non-finite breakpoint, slope or anchor")
+        slopes.flags.writeable = False
+        vars(f).update(breakpoints=xs, slopes=slopes, anchor=anchor)
+        return f
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,10 @@ cost is the linear spline through the points, with the two unbounded end
 slopes chosen to minimize max(total slope variation, |l0 + lN|).  The
 regularized variant trades data fit against that same cost.  It is a convex
 program in the fitted values, solved exactly by an active-set method on its
-dual, in C (``_kernel``), and it returns its duality gap and iteration count;
-it needs a C compiler, which interpolation does not.
+dual in one C call (``_kernel``), which also returns the spline's slopes and
+the residuals; Python adds the end slopes, the loss and the duality gap.  It
+needs a C compiler, which interpolation does not.  Both build their splines
+on the dataset's own, already checked abscissas.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def interior_slopes(d: Dataset) -> np.ndarray:
     """Secant slopes between consecutive data points."""
     if d.n < 2:
         raise ValueError("need at least two data points")
-    return np.diff(d.ys) / np.diff(d.xs)
+    return (d.ys[1:] - d.ys[:-1]) / (d.xs[1:] - d.xs[:-1])
 
 
 def optimal_end_slopes(interior) -> tuple[float, float, float]:
@@ -133,14 +135,15 @@ def optimal_end_slopes(interior) -> tuple[float, float, float]:
     l = np.asarray(interior, dtype=float)
     if not l.size:
         raise ValueError("interior slopes must be nonempty")
-    t_int = float(np.abs(np.diff(l)).sum())
+    t_int = float(np.abs(l[1:] - l[:-1]).sum())
     first, last = float(l[0]), float(l[-1])
     sigma = first + last
     if abs(sigma) <= t_int:
         return first, last, t_int
-    # bend the end slopes toward each other by a total of s_star
+    # bend the end slopes toward each other by a total of s_star; the value
+    # halves each term first, or it overflows where its half does not
     s_star = 0.5 * (abs(sigma) - t_int)
-    value = 0.5 * (t_int + abs(sigma))
+    value = 0.5 * t_int + 0.5 * abs(sigma)
     if sigma > 0:
         return first - s_star, last, value
     return first, last + s_star, value
@@ -179,28 +182,16 @@ def grid_oracle_end_slopes(interior) -> tuple[float, float, float]:
     return best
 
 
-def _build_spline(xs, yhat, l0, ln) -> PwlFunction:
-    slopes = np.concatenate(([l0], np.diff(yhat) / np.diff(xs), [ln]))
-    return PwlFunction(xs, slopes, (xs[0], yhat[0]))
-
-
 def min_norm_interpolant(d: Dataset) -> InterpolationResult:
     """Least representation cost among all functions through the data."""
     if d.n == 1:
         x0, y0 = d.points[0]
         return InterpolationResult(PwlFunction((), (0.0,), (x0, y0)), 0.0)
-    l0, ln, value = optimal_end_slopes(interior_slopes(d))
-    return InterpolationResult(_build_spline(d.xs, d.ys, l0, ln), value)
-
-
-def _fit(xs, ys, lam, squared):
-    """Exact regularized fit; returns yhat, a dual lower bound, iterations.
-
-    One call of the C kernel's ``fit`` (see ``_kernel.c``): a primal
-    active-set method on the dual, a projection for squared loss and an LP
-    for absolute loss, in the well-scaled coordinates z = R u of A^T = QR.
-    """
-    return _kernel.fit(xs, ys, lam, squared)
+    slopes = np.empty(d.n + 1)
+    slopes[1:-1] = interior_slopes(d)
+    slopes[0], slopes[-1], value = optimal_end_slopes(slopes[1:-1])
+    return InterpolationResult(
+        PwlFunction._through(d.xs, slopes, (d.xs[0], d.ys[0])), value)
 
 
 def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
@@ -209,31 +200,38 @@ def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
     The minimizer is piecewise linear with breakpoints only at the data
     abscissas, so the problem is convex in the fitted values: an LP for
     ``loss="absolute"`` and a QP for ``loss="squared"``, both solved exactly
-    through their duals in finitely many active-set passes.  The result's
-    ``gap`` is the relative duality gap (objective - dual bound) / objective,
-    with the bound the dual value at a feasible point, and ``iterations``
-    counts the passes.
+    through their duals in finitely many active-set passes, in one call of
+    the C kernel's ``fit`` (see ``_kernel.c``).  The result's ``gap`` is the
+    relative duality gap (objective - dual bound) / objective, with the
+    bound the dual value at a feasible point, and ``iterations`` counts the
+    passes.  An objective or bound that overflows raises ValueError.
 
-    Both are computed with y measured from the middle of its range.  The
-    problem is invariant under that shift, but rounding is not: it scales
-    with max |y|, so data of offset c and spread s would see the gap drowned
-    by noise of about eps*c.  Shifted, constant data fit exactly with
-    objective 0 and gap 0, and the noise scales with s.  What remains is
-    rounding in the cost term, multiplied by lam.
+    Both are computed with y measured from the middle of its range, a shift
+    the kernel makes.  The problem is invariant under that shift, but
+    rounding is not: it scales with max |y|, so data of offset c and spread
+    s would see the gap drowned by noise of about eps*c.  Shifted, constant
+    data fit exactly with objective 0 and gap 0, and the noise scales with
+    s.  What remains is rounding in the cost term, multiplied by lam.
     """
     if not (0.0 < lam < math.inf):
         raise ValueError("lam must be positive and finite")
     if loss not in ("squared", "absolute"):
         raise ValueError(f"unknown loss {loss!r}")
-    if d.n == 1:
+    n = d.n
+    if n == 1:
         return min_norm_interpolant(d)
-    xs, ys = d.xs, d.ys
-    shift = 0.5 * (ys.max() + ys.min())
-    ys = ys - shift
-    yhat, dual, iterations = _fit(xs, ys, lam, loss == "squared")
-    l0, ln, value = optimal_end_slopes(np.diff(yhat) / np.diff(xs))
-    r = yhat - ys
-    objective = (r @ r if loss == "squared" else np.abs(r).sum()) + lam * value
-    gap = max(objective - dual, 0.0) / objective if objective > 0 else 0.0
-    return InterpolationResult(_build_spline(xs, yhat + shift, l0, ln), value,
-                               float(gap), iterations)
+    out, iterations = _kernel.fit(d.xs, d.ys, lam, loss == "squared")
+    r, bound = out[2 * n:3 * n], out[3 * n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        l0, ln, value = optimal_end_slopes(out[n + 1:2 * n])
+        objective = (r @ r if loss == "squared" else np.abs(r).sum())
+        objective += lam * value
+        gap = max(objective - bound, 0.0) / objective if objective > 0 else 0.0
+    if not (math.isfinite(objective) and math.isfinite(bound)
+            and math.isfinite(gap)):
+        raise ValueError(f"regularized fit overflows: objective {objective}, "
+                         f"dual bound {bound}")
+    out[0], out[n] = l0, ln
+    spline = PwlFunction._through(d.xs, out[:n + 1].copy(),
+                                  (d.xs[0], out[3 * n + 1]))
+    return InterpolationResult(spline, value, float(gap), iterations)

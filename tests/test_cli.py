@@ -104,6 +104,14 @@ class TestInterpCommand:
         assert captured.err == ("error: invalid dataset file: dataset slope "
                                 "jump overflows at x = 1.0\n")
 
+    def test_end_slope_value_does_not_overflow(self, tmp_path, capsys):
+        # 0.5 (t_int + |sigma|) overflowed: exit 2, "not a finite number"
+        path = write(tmp_path / "data.json",
+                     {"points": [[0, 0], [1, 1e308], [2, 1.7e308]]})
+        assert cli.main(["interp", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cost"] == pytest.approx(1e308, rel=1e-15)
+
     def test_grid_oracle_disagrees(self, tent_dataset, tmp_path, capsys,
                                    monkeypatch):
         monkeypatch.setattr(spline, "grid_oracle_end_slopes",

@@ -552,13 +552,14 @@ def raw_flux_draws(lib, n, d, w, t, sm, seed):
 
 def raw_fit(lib, xs, ys, lam, squared, n=None):
     """One ``fit`` call of a kernel library on the first n points (all by
-    default): the passes and the bytes of the fitted values and the bound."""
+    default): the passes and the bytes of the outputs, the end slopes' two
+    places left zero."""
     xs, ys = (np.array(a, dtype=float) for a in (xs, ys))
     n = len(xs) if n is None else n
-    work, out = np.empty(_kernel.fit_work(n, squared)), np.empty(n + 1)
+    buf = np.zeros(_kernel.fit_work(n, squared))
     passes = lib.fit(n, xs.ctypes.data, ys.ctypes.data, lam, squared,
-                     work.ctypes.data, out.ctypes.data)
-    return passes, out.tobytes()
+                     buf.ctypes.data)
+    return passes, buf[:3 * n + 2].tobytes()
 
 
 def bits(run):

@@ -19,6 +19,11 @@ def random_dataset(rng, n_min=2, n_max=8):
     return Dataset(tuple(zip(xs, ys)))
 
 
+# secants 1e308 and 7e307, with a finite jump: the interpolant's value
+# t_int + |sigma| = 3e307 + 1.7e308 overflows, though its half does not
+END_OVERFLOW = ((0, 0), (1, 1e308), (2, 1.7e308))
+
+
 class TestDataset:
     def test_sorts_points(self):
         d = Dataset(((2.0, 1.0), (0.0, 3.0)))
@@ -71,7 +76,7 @@ class TestDataset:
 
     def test_overflowing_jump_never_reaches_the_fit(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spline, "_fit", lambda *args: calls.append(args))
+        monkeypatch.setattr(_kernel, "fit", lambda *args: calls.append(args))
         for loss in ("squared", "absolute"):
             with pytest.raises(ValueError, match="slope jump overflows"):
                 spline.regularized_fit(Dataset(self.JUMP_OVERFLOW), loss, 1.0)
@@ -241,6 +246,14 @@ class TestMinNormInterpolant:
             formula = max(t_int, 0.5 * (t_int + abs(sigma)))
             res = spline.min_norm_interpolant(d)
             assert res.cost == pytest.approx(formula, abs=1e-10)
+
+    def test_end_slope_value_does_not_overflow(self):
+        # the cost read inf, where the optimum is 1e308
+        res = spline.min_norm_interpolant(Dataset(END_OVERFLOW))
+        l0, ln = res.end_slopes
+        assert res.cost == pytest.approx(1e308, rel=1e-15)
+        assert res.cost == pytest.approx(
+            spline.end_slope_objective([1e308, 7e307], l0, ln), rel=1e-15)
 
     def test_equivariance(self):
         rng = np.random.default_rng(27)
@@ -509,8 +522,7 @@ class TestRegularizedFit:
             r = pwl_eval(res.spline, d.xs) - d.ys
             objective = (float(r @ r) if loss == "squared"
                          else float(np.abs(r).sum())) + lam * cost
-            mid = 0.5 * (d.ys.max() + d.ys.min())
-            bound = spline._fit(d.xs, d.ys - mid, lam, loss == "squared")[1]
+            bound = _kernel.fit(d.xs, d.ys, lam, loss == "squared")[0][3 * d.n]
             assert bound <= objective * (1.0 + 1e-12)
             assert res.gap == pytest.approx((objective - bound) / objective,
                                             rel=1e-3, abs=1e-12)
@@ -529,6 +541,24 @@ class TestRegularizedFit:
             assert res.gap <= 1e-9
             assert np.allclose(pwl_eval(res.spline, d.xs), d.ys,
                                rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_overflowing_objective_is_refused(self, loss):
+        # the fits returned cost 0 and a gap of nan, with numpy's overflow
+        # warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="regularized fit overflows"):
+                spline.regularized_fit(Dataset(END_OVERFLOW), loss, 1.0)
+
+    @pytest.mark.parametrize("loss", ["squared", "absolute"])
+    def test_constant_data_at_the_largest_floats(self, loss):
+        # max y + min y overflows, so the shift is taken in halves: the fit
+        # is the constant, exactly, where it raised ValueError
+        d = Dataset(tuple((x, 1.7e308) for x in (0.0, 1.0, 3.0)))
+        res = spline.regularized_fit(d, loss, 1.0)
+        assert res.cost == 0.0 and res.gap == 0.0
+        assert pwl_eval(res.spline, d.xs).tolist() == [1.7e308] * 3
 
     @pytest.mark.parametrize("loss", ["squared", "absolute"])
     def test_gap_invariant_under_shifting_y(self, loss):
@@ -696,6 +726,50 @@ class TestRegularizedFit:
                 / np.diff(d.xs).min()
             assert obj <= best * (1.0 + 1e-12) + slack
             assert 0.0 <= res.gap <= 1e-9
+
+
+class TestSplineFromData:
+    """``PwlFunction._through``, which builds the interpolants and the fits
+    on a Dataset's own xs, checking only the slopes and the anchor."""
+
+    TILTED = Dataset(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.5)))
+
+    def splines(self):
+        d = self.TILTED
+        yield pwl.PwlFunction._through(d.xs, np.array([1.0, 2, -0.5, 3, 0]),
+                                       (0.0, -0.0))
+        yield spline.min_norm_interpolant(d).spline
+        for loss in ("squared", "absolute"):
+            yield spline.regularized_fit(d, loss, 0.3).spline
+
+    def test_equals_and_hashes_like_public(self):
+        for f in self.splines():
+            public = pwl.PwlFunction(f.breakpoints.tolist(), f.slopes.tolist(),
+                                     f.anchor)
+            assert f == public and hash(f) == hash(public)
+            assert f.breakpoints is self.TILTED.xs
+
+    def test_arrays_are_read_only(self):
+        for f in self.splines():
+            for a in (f.breakpoints, f.slopes):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+
+    @pytest.mark.parametrize("place", [lambda n: 2, lambda n: 3 * n + 1],
+                             ids=["slope", "anchor"])
+    def test_nan_from_the_kernel_is_rejected(self, monkeypatch, place):
+        # a NaN slope or anchor, the secants and residuals finite
+        fit = _kernel.fit
+
+        def patched(*args):
+            out, passes = fit(*args)
+            out[place(args[0].size)] = np.nan
+            return out, passes
+
+        monkeypatch.setattr(_kernel, "fit", patched)
+        with pytest.raises(ValueError, match=(
+                r"^non-finite breakpoint, slope or anchor$")):
+            spline.regularized_fit(self.TILTED, "squared", 0.3)
 
 
 def golden_sets():
