@@ -505,8 +505,7 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
    measured from shift = (max + min) / 2, the middle of its range, halved
    term by term where max + min overflows.  Returns the active-set passes,
    or -1 if they did not converge.  out holds 3n + 2 doubles, then the
-   workspace; with m = n - 1, and each rounded as numpy rounds the same
-   expression:
+   workspace; each output is rounded as numpy rounds the same expression:
      out[1..n)      the slopes between the points (x, yhat + shift), with
                     out[0] and out[n] left for the two end slopes;
      out[n+1..2n)   the secants between the points (x, yhat);
@@ -530,11 +529,11 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
    when the multipliers show that the other sign does better, it continues
    there once.
 
-   The workspace holds m (2n + 3m + H + 9) + 3H + 3n doubles, for H = 2m
-   rows, 2m + 2n for the absolute loss.  The passes and the additions to
-   the working set, where the time goes, have AVX2 clones, into which dot
-   and axpy are inlined; dot sums in a fixed order, so no bit depends on the
-   body that runs. */
+   The workspace holds m (2n + 3m + H + 9) + 3H + 3n doubles, for m = n - 1
+   and H = 2m rows, 2m + 2n for the absolute loss.  The passes and the
+   additions to the working set, where the time goes, have AVX2 clones, into
+   which dot and axpy are inlined; dot sums in a fixed order, so no bit
+   depends on the body that runs. */
 
 #define INLINE static inline __attribute__((always_inline))
 

@@ -224,7 +224,7 @@ def regularized_fit(d: Dataset, loss: str, lam: float) -> InterpolationResult:
     r, bound = out[2 * n:3 * n], out[3 * n]
     with np.errstate(over="ignore", invalid="ignore"):
         l0, ln, value = optimal_end_slopes(out[n + 1:2 * n])
-        objective = (r @ r if loss == "squared" else np.abs(r).sum())
+        objective = r @ r if loss == "squared" else np.abs(r).sum()
         objective += lam * value
         gap = max(objective - bound, 0.0) / objective if objective > 0 else 0.0
     if not (math.isfinite(objective) and math.isfinite(bound)
