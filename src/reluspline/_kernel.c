@@ -15,30 +15,40 @@
    a time in index order, the cost in the first block's two unit loops (w1^2
    in the residual pass, w2^2 in the gradient pass), where it runs behind the
    vector work; n = 0 runs one empty block for it.  No sum changes order, so
-   every body rounds as the scalar loops do: W = 2 in the plain build (one
-   SSE2 or NEON register), and on x86-64 glibc W = 4 for AVX2 and W = 8 for
-   AVX-512F; descend runs the widest the CPU has (descend_lanes).  Each body
-   is compiled for its own target alone, as wider vectors lower their compares
-   one element at a time.  Returns 2 at the first non-finite objective, before
-   any stop test; 1 once stop > 0 and |grad| <= stop, leaving theta at that
-   iterate; else 0 after max_steps steps.  *done counts rows written. */
+   every body (see lanes) rounds as the scalar loops do.  Returns 2 at the
+   first non-finite objective, before any stop test; 1 once stop > 0 and
+   |grad| <= stop, leaving theta at that iterate; else 0 after max_steps
+   steps.  *done counts rows written. */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
+#define INLINE static inline __attribute__((always_inline))
+#define AVX2 __attribute__((target("avx2")))
+
+/* Each vectorized part, descend, flux_values and the fit's passes, is
+   written once over vectors of W lanes and compiled for each target alone,
+   as wider vectors lower their compares one element at a time: W = 2 plain
+   (one SSE2 or NEON register) and, on x86-64 glibc GCC, 4 for AVX2 and 8
+   for AVX-512F.  lanes() is the widest the CPU runs; each part runs its
+   widest body at or below it (PICK): descend 8, 4 or 2, the others 4 or 2. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && defined(__GLIBC__)
-#define DISPATCH __attribute__((target_clones("avx2", "default")))
-#define WIDE 1
+#define WIDE
+#define PICK(b8, b4, b2) (lanes() == 8 ? b8 : lanes() == 4 ? b4 : b2)
+int lanes(void)
+{
+    return __builtin_cpu_supports("avx512f") ? 8
+           : __builtin_cpu_supports("avx2") ? 4 : 2;
+}
 #else
-#define DISPATCH
-#define WIDE 0
+#define PICK(b8, b4, b2) b2
+int lanes(void) { return 2; }
 #endif
 enum { B = 32 };  /* data points per block, a whole number of vectors */
 
 typedef double v4 __attribute__((vector_size(32)));
-typedef int64_t v4i __attribute__((vector_size(32)));
 /* macros, not functions: a vector argument changes the ABI without AVX.
    memcpy loads and stores at any alignment; LIVE(a, v) is a > 0 ? v : 0 in
    the vectors V, with VI their integer vectors. */
@@ -134,30 +144,15 @@ target static int name(PARAMS)                                                \
 }
 
 STEP(2, descend2, )
-#if WIDE
-STEP(4, descend4, __attribute__((target("avx2"))))
+#ifdef WIDE
+STEP(4, descend4, AVX2)
 STEP(8, descend8, __attribute__((target("avx512f"))))
 #endif
 
-/* the lanes of the widest body of descend that this CPU runs */
-int descend_lanes(void)
-{
-#if WIDE
-    return __builtin_cpu_supports("avx512f") ? 8
-           : __builtin_cpu_supports("avx2") ? 4 : 2;
-#endif
-    return 2;
-}
-
 int descend(PARAMS)
 {
-    int (*body)(PARAMS) = descend2;
-#if WIDE
-    const int w = descend_lanes();
-    body = w == 8 ? descend8 : w == 4 ? descend4 : descend2;
-#endif
-    return body(k, n, xs, ys, lam, lr, max_steps, stop, theta, grad, trace,
-                done);
+    return PICK(descend8, descend4, descend2)(k, n, xs, ys, lam, lr, max_steps,
+                                              stop, theta, grad, trace, done);
 }
 
 /* flux_values: the per-sample pass of the Laplacian-flux estimator.
@@ -167,57 +162,64 @@ int descend(PARAMS)
    the sum over atoms, from 0, of (p_a > t_a ? p_a : 0) * sm_a.  Every sum runs
    in index order.  Samples run in chunks of F, transposed into work, which
    holds (d + 1) * n doubles: u, then s, so the normalization runs across
-   samples.  The atoms then run once per vector of 4 samples, whose
+   samples.  The atoms then run once per vector of W samples, whose
    projection and sum stay in vector lanes (a last, partial vector reads 0
    in its spare lanes and writes only its samples), with no sum reordered. */
 enum { F = 256 };  /* flux samples per chunk */
+#define FLUX_PARAMS int64_t n, int64_t d, int64_t k, const double *restrict g,\
+    const double *restrict w, const double *restrict t,                      \
+    const double *restrict sm, double *restrict work, double *restrict vals
+/* vals at the L <= W samples from column j of u (d rows of m) */
+#define FLUX_VECTOR(L)                                                        \
+    do {                                                                      \
+        V sum = {0}, q, ui = {0};                                             \
+        for (int64_t a = 0; a < k; a++) {                                     \
+            memcpy(&ui, u + j, (L) * sizeof(double));                         \
+            q = ui * w[a * d];                                                \
+            for (int64_t i = 1; i < d; i++) {                                 \
+                memcpy(&ui, u + i * m + j, (L) * sizeof(double));             \
+                q += ui * w[a * d + i];                                       \
+            }                                                                 \
+            sum += (V)((VI)(q > t[a]) & (VI)q) * sm[a];                       \
+        }                                                                     \
+        memcpy(vals + j0 + j, &sum, (L) * sizeof(double));                    \
+    } while (0)
 
-/* vals v at the L <= 4 samples from column j of u (d rows of m) */
-static inline __attribute__((always_inline)) void
-flux_vector(int64_t j, int64_t L, int64_t m, int64_t d, int64_t k,
-            const double *u, const double *w, const double *t,
-            const double *sm, double *v)
-{
-    v4 sum = {0}, p, ui = {0};
-    for (int64_t a = 0; a < k; a++) {
-        const double *wa = w + a * d;
-        memcpy(&ui, u + j, L * sizeof(double));
-        p = ui * wa[0];
-        for (int64_t i = 1; i < d; i++) {
-            memcpy(&ui, u + i * m + j, L * sizeof(double));
-            p += ui * wa[i];
-        }
-        sum += (v4)((v4i)(p > t[a]) & (v4i)p) * sm[a];
-    }
-    memcpy(v + j, &sum, L * sizeof(double));
+#define FLUX(W, name, target)                                                 \
+target static void name(FLUX_PARAMS)                                          \
+{                                                                             \
+    typedef double V __attribute__((vector_size(8 * W)));                     \
+    typedef int64_t VI __attribute__((vector_size(8 * W)));                   \
+    for (int64_t j0 = 0; j0 < n; j0 += F) {                                   \
+        const int64_t m = n - j0 < F ? n - j0 : F;                            \
+        const double *x = g + j0 * d;                                         \
+        double *restrict u = work, *restrict p = work + d * m;                \
+        for (int64_t j = 0; j < m; j++)                                       \
+            p[j] = x[j * d] * x[j * d];                                       \
+        for (int64_t i = 1; i < d; i++)                                       \
+            for (int64_t j = 0; j < m; j++)                                   \
+                p[j] += x[j * d + i] * x[j * d + i];                          \
+        for (int64_t j = 0; j < m; j++)                                       \
+            p[j] = sqrt(p[j]);                                                \
+        for (int64_t i = 0; i < d; i++)                                       \
+            for (int64_t j = 0; j < m; j++)                                   \
+                u[i * m + j] = x[j * d + i] / p[j];                           \
+        int64_t j = 0;                                                        \
+        for (; j + W <= m; j += W)                                            \
+            FLUX_VECTOR(W);                                                   \
+        if (j < m)                                                            \
+            FLUX_VECTOR(m - j);                                               \
+    }                                                                         \
 }
 
-DISPATCH
-void flux_values(int64_t n, int64_t d, int64_t k,
-                 const double *restrict g, const double *restrict w,
-                 const double *restrict t, const double *restrict sm,
-                 double *restrict work, double *restrict vals)
+FLUX(2, flux2, )
+#ifdef WIDE
+FLUX(4, flux4, AVX2)
+#endif
+
+void flux_values(FLUX_PARAMS)
 {
-    for (int64_t j0 = 0; j0 < n; j0 += F) {
-        const int64_t m = n - j0 < F ? n - j0 : F;
-        const double *x = g + j0 * d;
-        double *restrict u = work, *restrict p = work + d * m;
-        for (int64_t j = 0; j < m; j++)
-            p[j] = x[j * d] * x[j * d];
-        for (int64_t i = 1; i < d; i++)
-            for (int64_t j = 0; j < m; j++)
-                p[j] += x[j * d + i] * x[j * d + i];
-        for (int64_t j = 0; j < m; j++)
-            p[j] = sqrt(p[j]);
-        for (int64_t i = 0; i < d; i++)
-            for (int64_t j = 0; j < m; j++)
-                u[i * m + j] = x[j * d + i] / p[j];
-        int64_t j = 0;
-        for (; j + 4 <= m; j += 4)
-            flux_vector(j, 4, m, d, k, u, w, t, sm, vals + j0);
-        if (j < m)
-            flux_vector(j, m - j, m, d, k, u, w, t, sm, vals + j0);
-    }
+    PICK(flux4, flux4, flux2)(n, d, k, g, w, t, sm, work, vals);
 }
 
 typedef unsigned __int128 u128;
@@ -530,12 +532,9 @@ int64_t format_table(int64_t rows, int64_t cols, const double *table,
    there once.
 
    The workspace holds m (2n + 3m + H + 9) + 3H + 3n doubles, for m = n - 1
-   and H = 2m rows, 2m + 2n for the absolute loss.  The passes and the
-   additions to the working set, where the time goes, have AVX2 clones, into
-   which dot and axpy are inlined; dot sums in a fixed order, so no bit
-   depends on the body that runs. */
-
-#define INLINE static inline __attribute__((always_inline))
+   and H = 2m rows, 2m + 2n for the absolute loss.  The passes, where the
+   time goes, have a body per target (see lanes), add_row, dot and axpy
+   inlined; dot sums in a fixed order, so no bit depends on the body. */
 
 /* a . b: two 4-lane sums, added lanewise, then pairwise, then the tail */
 INLINE double dot(int64_t n, const double *a, const double *b)
@@ -574,12 +573,12 @@ typedef struct {
     char *free;
 } active_set;
 
-/* row i into the working set: modified Gram-Schmidt, twice, onto the
-   basis; classical Gram-Schmidt, even twice, left the basis of working rows
-   of condition 1e4 orthonormal only to 8e-14, and the final z with it */
-DISPATCH static void add_row(active_set *s, int64_t i)
+/* row work[w] into the working set: modified Gram-Schmidt, twice, onto
+   the basis; classical Gram-Schmidt, even twice, left the basis of working
+   rows of condition 1e4 orthonormal only to 8e-14, and the final z with it */
+INLINE void add_row(active_set *s)
 {
-    const int64_t m = s->m, w = s->w;
+    const int64_t m = s->m, w = s->w, i = s->work[w];
     double *col = s->basis + w * m, *r = s->tri + w * m;
     memcpy(col, s->t + i * m, m * sizeof *col);
     for (int64_t j = 0; j < w; j++)
@@ -593,7 +592,7 @@ DISPATCH static void add_row(active_set *s, int64_t i)
     r[w] = sqrt(dot(m, col, col));
     for (int64_t l = 0; l < m; l++)
         col[l] /= r[w];
-    s->work[w] = i, s->free[i] = 0, s->w = w + 1;
+    s->free[i] = 0, s->w = w + 1;
 }
 
 /* the working row at position p out: its column leaves the triangle, and
@@ -638,29 +637,26 @@ INLINE void solve_tri(const active_set *s, double *b)
     }
 }
 
-/* the basis and triangle anew from the working rows, in order */
-static void refactor(active_set *s)
-{
-    const int64_t w = s->w;
-    s->w = 0;
-    for (int64_t j = 0; j < w; j++)
-        add_row(s, s->work[j]);
-}
-
-/* At most budget passes of the primal active-set method from a feasible z
-   and its working set; returns the passes run, the last the one that found
-   no negative multiplier, or 0 if they ran out.  A pass puts an LP's z back
-   on the working rows, then steps along the objective's descent projected
-   off them, up to the first row it meets, which joins the set, or to the
-   projection's minimum; else it drops the least row of negative
-   multiplier (Bland's rule). */
-DISPATCH static int64_t passes(active_set *s, int64_t budget)
+/* The basis and triangle anew from the working rows, then at most budget
+   passes of the primal active-set method from a feasible z and its working
+   set; returns the passes run, the last the one that found no negative
+   multiplier, or 0 if they ran out.  A pass puts an LP's z back on the
+   working rows, then steps along the objective's descent projected off
+   them, up to the first row it meets, which joins work and, before the
+   next pass, the basis, or to the projection's minimum; else it drops the
+   least row of negative multiplier (Bland's rule). */
+INLINE int64_t passes(active_set *s, int64_t budget)
 {
     const int64_t m = s->m, H = s->H;
     const double *t = s->t, *h = s->h;
     double *z = s->z, *grad = s->grad, *step = s->step, *mult = s->mult;
-    int stationary = 0;
-    for (int64_t it = 1; it <= budget; it++) {
+    int64_t rows = s->w;
+    s->w = 0;
+    for (int64_t it = 1, stationary = 0;; it++) {
+        while (s->w < rows)
+            add_row(s);
+        if (it > budget)
+            return 0;
         const int64_t w = s->w;
         if (s->lp && w) {  /* long LP steps drift off the working rows */
             double *x = s->v;
@@ -696,7 +692,7 @@ DISPATCH static int64_t passes(active_set *s, int64_t budget)
             }
             if (best < (s->lp ? INFINITY : 1.0)) {
                 axpy(m, best, step, z);
-                add_row(s, hit);
+                s->work[rows++] = hit;
                 continue;
             }
             if (!s->lp) {
@@ -713,10 +709,14 @@ DISPATCH static int64_t passes(active_set *s, int64_t budget)
                 drop = j;
         if (drop < 0)
             return it;
-        drop_row(s, drop);
+        drop_row(s, drop), rows--;
     }
-    return 0;
 }
+
+static int64_t passes2(active_set *s, int64_t b) { return passes(s, b); }
+#ifdef WIDE
+AVX2 static int64_t passes4(active_set *s, int64_t b) { return passes(s, b); }
+#endif
 
 /* y minus tau v (v . y), v = (1, x[j+1..e-1]) on rows j..e-1: Householder
    reflector j */
@@ -774,6 +774,7 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
     int64_t *rows = (int64_t *)(y + n);
     active_set s = {m, H, 0, !squared, t, h, z0, z, basis, tri, mult, grad,
                     step, v, rows, (char *)(rows + m)};
+    int64_t (*run)(active_set *, int64_t) = PICK(passes4, passes4, passes2);
     /* the shift; its halves where max + min overflows */
     double lo = ys[0], hi = ys[0];
     for (int64_t i = 1; i < n; i++)
@@ -845,7 +846,7 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
     memset(z, 0, m * sizeof *z);
     memset(s.free, 1, H);
     const int64_t budget = 10 * H - 1;
-    int64_t done = passes(&s, budget);
+    int64_t done = run(&s, budget);
     if (!done)
         return -1;
     /* optimal with v_c of one sign; at v_c = 0 the other sign is better
@@ -860,16 +861,15 @@ int64_t fit(int64_t n, const double *xs, const double *ys, double lam,
     }
     if (bound > 2.0 * slopes) {
         fit_rows(n, H, -1.0, lam, q, rinv, t, h, norm);
-        refactor(&s);
-        const int64_t more = passes(&s, budget - done);
+        const int64_t more = run(&s, budget - done);
         if (!more)
             return -1;
         done += more;
     }
     /* z exactly on the working rows, plus the part of z0 (squared loss) or
        of z (LP) off them; a full working set leaves no such part, so a z of
-       order lam stays accurate however large y is */
-    refactor(&s);
+       order lam stays accurate however large y is; no pass, the basis anew */
+    run(&s, 0);
     const int64_t w = s.w;
     for (int64_t j = 0; j < w; j++)
         v[j] = h[rows[j]];

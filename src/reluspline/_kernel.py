@@ -1,12 +1,12 @@
 """The C kernel, ``_kernel.c``: its build, disk cache and load, and the calls
-of ``descend`` (training, in the widest body the CPU runs, which ``lanes``
-reports), ``fit`` (a regularized fit's shift, whole active-set solve,
-secants and residuals, into one caller-allocated buffer), ``flux_draws``
-(the flux estimator's normal draws, numpy's Philox stream and ziggurat a
-chunk of words at a time, numpy's own routine only at the fast path's
-rejections, and its per-sample pass, ``flux_values``) and ``format_table``
-(the CSV writer, run with the GIL held), which pass arrays as addresses and
-numpy's and the interpreter's routines as function pointers."""
+of ``descend`` (training), ``fit`` (a regularized fit's shift, whole
+active-set solve, secants and residuals, into one caller-allocated buffer),
+``flux_draws`` (the flux estimator's normal draws, numpy's Philox stream and
+ziggurat a chunk of words at a time, numpy's own routine only at the fast
+path's rejections, and its per-sample pass, ``flux_values``) and
+``format_table`` (the CSV writer, run with the GIL held), which pass arrays
+as addresses and numpy's and the interpreter's routines as function
+pointers; the vector bodies that run are chosen by ``lanes``."""
 
 import contextlib
 import ctypes
@@ -86,8 +86,8 @@ def load() -> ctypes.CDLL:
     i64, real, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.descend.argtypes = [i64, i64, ptr, ptr, real, real, i64, real] + [ptr] * 4
     lib.descend.restype = ctypes.c_int
-    lib.descend_lanes.argtypes = []
-    lib.descend_lanes.restype = ctypes.c_int
+    lib.lanes.argtypes = []
+    lib.lanes.restype = ctypes.c_int
     lib.flux_values.argtypes = [i64] * 3 + [ptr] * 6
     lib.flux_values.restype = None
     lib.flux_draws.argtypes = [i64] * 3 + [ptr] * 9
@@ -113,9 +113,10 @@ def ziggurat():
 
 
 def lanes() -> int:
-    """The doubles per vector of the body of ``descend`` that this CPU runs:
-    8 with AVX-512F, 4 with AVX2, else 2."""
-    return load().descend_lanes()
+    """The doubles per vector of the widest body this CPU runs, 8 with
+    AVX-512F, 4 with AVX2, else 2: each part runs its widest body at or below
+    it, ``descend`` 8, 4 or 2 lanes, ``flux_values`` and ``fit`` 4 or 2."""
+    return load().lanes()
 
 
 def descend(theta, xs, ys, lam, lr, max_steps, stop):

@@ -45,6 +45,11 @@ class TwoLayerNet(Value):
         return self.w1.size
 
 
+def _check_nonnegative(value, name: str):
+    if not 0 <= value < np.inf:  # NaN fails it
+        raise ValueError(f"{name} must be nonnegative and finite")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 0.0
@@ -55,17 +60,13 @@ class TrainConfig:
     stop_grad_norm: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lam must be nonnegative and finite")
+        _check_nonnegative(self.lam, "lam")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         check_integer(self.max_steps, "max_steps", 0)
         check_integer(self.seed, "seed", 0)
-        if not 0 <= self.init_scale < np.inf:
-            raise ValueError("init_scale must be nonnegative and finite")
-        if not 0 <= self.stop_grad_norm < np.inf:
-            raise ValueError("stop_grad_norm must be nonnegative and finite")
+        _check_nonnegative(self.init_scale, "init_scale")
+        _check_nonnegative(self.stop_grad_norm, "stop_grad_norm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +156,7 @@ def objective_and_grad(net: TwoLayerNet, dataset, lam: float):
     the biases.  Both come from one training step at learning rate 1; the
     gradient is returned as a TwoLayerNet of the same shape.
     """
+    _check_nonnegative(lam, "lam")
     trace, _, g, _ = _descend(_pack(net), dataset.xs, dataset.ys, lam, 1.0, 1,
                               0.0)
     return float(trace[0, 0]), _unpack(g, net.k)

@@ -241,10 +241,14 @@ class TestLowerBound:
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["lam", "learning_rate", "init_scale",
                                        "stop_grad_norm"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_rejects_non_finite_hyperparameter(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
+        if field == "lam":  # objective_and_grad shares the check
+            with pytest.raises(ValueError, match="lam must be nonnegative"):
+                objective_and_grad(net2.init(3, TrainConfig()),
+                                   Dataset(((0, 0), (1, 1), (2, 0))), value)
 
     @pytest.mark.parametrize("steps", [np.nan, 2.5, 10.0, -1, "10"])
     def test_max_steps_must_be_nonnegative_integer(self, steps):
@@ -637,14 +641,14 @@ def train_briefly():
     return train(net2.init(2, cfg), d, cfg)
 
 
-# descend's bodies: their lanes and whether the build keeps its target clones
-BODIES = {"plain": (2, False), "avx2": (4, True), "avx512f": (8, True)}
+# the kernel's bodies and their lanes
+BODIES = {"plain": 2, "avx2": 4, "avx512f": 8}
 
 
 def runnable(lanes):
-    """Whether this CPU runs, and this platform builds, descend's body of
-    these lanes: the wide bodies are x86-64 glibc GCC builds, as the target
-    clones are, run where numpy finds AVX2 or AVX-512F."""
+    """Whether this CPU runs, and this platform builds, the kernel's bodies
+    of these lanes: the wide bodies are x86-64 glibc GCC builds, run where
+    numpy finds AVX2 or AVX-512F."""
     if lanes == 2:
         return True
     cc = sysconfig.get_config_var("CC") or "cc"
@@ -710,37 +714,30 @@ class TestKernelBuild:
     def test_lanes_are_the_widest_the_cpu_runs(self):
         # a dispatcher that fell back to a narrower body would pass every bit
         # test and lose its speed
-        assert _kernel.lanes() == max(lanes for lanes, _ in BODIES.values()
-                                      if runnable(lanes))
+        assert _kernel.lanes() == max(filter(runnable, BODIES.values()))
 
     @pytest.mark.parametrize("body", BODIES)
     def test_each_body_matches_loaded(self, tmp_path, body):
-        # the source with descend's dispatch fixed to one body, and for the
-        # plain body without its target clones, built alone, gives the bits
-        # of the library the loader chose
-        lanes, clones = BODIES[body]
+        # the source with lanes() fixed, so that every part runs its body
+        # of at most those lanes, gives the bits of the library the loader
+        # chose
+        lanes = BODIES[body]
         if not runnable(lanes):
             pytest.skip(f"this CPU or build has no {body} body")
-        attr = '__attribute__((target_clones("avx2", "default")))'
         with open(KERNEL_SOURCE) as fh:
-            source = fh.read()
-        assert source.count(attr) == 1
-        source, count = re.subn(r"return __builtin_cpu_supports\(.*?;",
-                                f"return {lanes};", source, flags=re.S)
+            source, count = re.subn(r"return __builtin_cpu_supports\(.*?;",
+                                    f"return {lanes};", fh.read(), flags=re.S)
         assert count == 1
-        (tmp_path / "body.c").write_text(
-            source if clones else source.replace(attr, ""))
+        (tmp_path / "body.c").write_text(source)
         cc = (sysconfig.get_config_var("CC") or "cc").split()
         subprocess.run([*cc, *_kernel.CFLAGS, str(tmp_path / "body.c"), "-o",
                         str(tmp_path / "body.so")], check=True)
         loaded = _kernel.load()
         built = ctypes.CDLL(str(tmp_path / "body.so"))
-        assert built.descend_lanes() == lanes
-        built.descend.argtypes = loaded.descend.argtypes
-        built.flux_values.argtypes = loaded.flux_values.argtypes
-        built.flux_draws.argtypes = loaded.flux_draws.argtypes
-        built.fit.argtypes = loaded.fit.argtypes
-        built.fit.restype = loaded.fit.restype
+        assert built.lanes() == lanes
+        for name in ("descend", "flux_values", "flux_draws", "fit"):
+            ours, theirs = getattr(built, name), getattr(loaded, name)
+            ours.argtypes, ours.restype = theirs.argtypes, theirs.restype
         rng = np.random.default_rng(8)
         for n, d, k in [(1, 2, 1), (255, 2, 5), (256, 3, 0), (257, 7, 33),
                         (4096, 5, 20)]:
@@ -771,8 +768,8 @@ class TestKernelBuild:
                         rng.uniform(-1, 1, n), 1e-3, 1e-2, 200)
                 assert (bits(raw_descend(built, *args))
                         == bits(raw_descend(loaded, *args)))
-        # the fit's passes and Gram-Schmidt run in the clones: the fitted
-        # values, the bound and the pass count agree
+        # the fit's passes and Gram-Schmidt run in the pinned body: the
+        # fitted values, the bound and the pass count agree
         for n in (2, 3, 12, 200):
             xs = np.sort(rng.uniform(-5.0, 5.0, n))
             ys = rng.uniform(-5.0, 5.0, n)
